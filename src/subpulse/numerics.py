@@ -17,7 +17,6 @@ from scipy import integrate as _integrate
 from scipy import signal as _signal
 
 __all__ = [
-    "ComplexSample",
     "QuadSpec",
     "RngStream",
     "ConvergenceError",
@@ -50,25 +49,6 @@ class ConvergenceError(ArithmeticError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-@dataclass(frozen=True)
-class ComplexSample:
-    """One complex baseband sample."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError("ComplexSample components must be finite")
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @dataclass(frozen=True)
@@ -225,10 +205,7 @@ def integrate_semi_infinite(
 
 
 def _as_complex_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(
-        [s.as_complex() if isinstance(s, ComplexSample) else s for s in x],
-        dtype=np.complex128,
-    )
+    arr = np.asarray(x, dtype=np.complex128)
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
     return arr
@@ -237,7 +214,7 @@ def _as_complex_array(x, name: str) -> np.ndarray:
 def dft_1d(x: Sequence, length: int | None = None) -> np.ndarray:
     """Forward DFT: X[k] = sum_n x[n] exp(-j 2 pi k n / K).
 
-    Accepts complex values or ComplexSample entries. K defaults to len(x);
+    Accepts any sequence of complex values. K defaults to len(x);
     shorter inputs are zero-padded. Direct summation below length 64, FFT
     above (identical results to 1e-12).
     """

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .ccrt import (
     OutOfWindowError,
@@ -31,7 +32,8 @@ from .ccrt import (
     unfold_tolerant,
     velocity_to_doppler,
 )
-from .numerics import RngStream, matched_filter
+from .numerics import RngStream
+from .numerics import matched_filter  # noqa: F401  (perfbench/tracing.py wraps this name)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -286,9 +288,11 @@ def synth_echo(
 
 
 def compress_pp(rx_per_pulse, replica) -> np.ndarray:
-    """Full-replica range compression of every pulse; shape (pulses, range)."""
-    rx = np.asarray(rx_per_pulse)
-    return np.stack([matched_filter(row, replica) for row in rx])
+    """Full-replica range compression of every pulse; shape (pulses, range).
+
+    This is the one-segment case of compress_sp.
+    """
+    return compress_sp(rx_per_pulse, [replica])[:, 0, :]
 
 
 def compress_sp(rx_per_pulse, subpulse_replicas) -> np.ndarray:
@@ -297,35 +301,45 @@ def compress_sp(rx_per_pulse, subpulse_replicas) -> np.ndarray:
     Each segment's output is shifted back by the segment's offset inside the
     pulse, so a stationary scatterer peaks in the same range bin in every
     segment. On that shared axis the segment outputs sum to the full-replica
-    compression exactly (correlation is linear in the replica), which is why
-    n = 1 reproduces compress_pp bit for bit. Shape (pulses, segments, range).
+    compression (correlation is linear in the replica). Shape (pulses,
+    segments, range).
+
+    Every segment is zero-padded into its slot of a replica-length kernel, so
+    the offset alignment is part of the kernel and one FFT correlation per
+    pulse serves all segments. A valid lag never reaches past the receive
+    window, so a transform of the window length does not wrap.
     """
     rx = np.asarray(rx_per_pulse)
     segments = [np.asarray(s) for s in subpulse_replicas]
-    offsets = _segment_offsets(segments)
-    total = sum(seg.size for seg in segments)
-    out_len = rx.shape[1] - total + 1
+    if not segments or min(seg.size for seg in segments) == 0:
+        raise ValueError("every subpulse replica must be non-empty")
+    kernels = np.zeros((len(segments), sum(seg.size for seg in segments)), dtype=np.complex128)
+    for row, seg, off in zip(kernels, segments, _segment_offsets(segments)):
+        row[off : off + seg.size] = seg
+    window = rx.shape[1]
+    out_len = window - kernels.shape[1] + 1
     if out_len < 1:
         raise ValueError("receive window shorter than the concatenated segments")
-    rows = []
-    for row in rx:
-        rows.append(
-            np.stack(
-                [
-                    matched_filter(row, seg)[off : off + out_len]
-                    for seg, off in zip(segments, offsets)
-                ]
-            )
-        )
-    return np.stack(rows)
+    nfft = sp_fft.next_fast_len(window)
+    kernel_spectra = np.conj(sp_fft.fft(kernels, n=nfft))
+    out = np.empty((rx.shape[0], len(segments), out_len), dtype=np.complex128)
+    # one pulse at a time: the full (pulse, segment, nfft) product would
+    # hold several times the output in memory at once
+    for row_out, row_spectrum in zip(out, sp_fft.fft(rx, n=nfft)):
+        row_out[:] = sp_fft.ifft(row_spectrum * kernel_spectra)[:, :out_len]
+    return out
 
 
 def build_datacube(profiles, channel: PrfChannel) -> Datacube:
-    """Arrange compress_sp output (pulses, segments, range) as a Datacube."""
+    """Arrange compress_sp output (pulses, segments, range) as a Datacube.
+
+    The cube's [range, pulse, subpulse] array is a transposed view of the
+    profiles, not a copy; its shape is the same either way.
+    """
     arr = np.asarray(profiles, dtype=np.complex128)
     if arr.ndim != 3:
         raise ValueError(f"expected (pulses, segments, range) profiles, got shape {arr.shape}")
-    return Datacube(channel=channel, data=np.ascontiguousarray(arr.transpose(2, 0, 1)))
+    return Datacube(channel=channel, data=arr.transpose(2, 0, 1))
 
 
 def doppler_maps(cube: Datacube) -> DopplerMap:
@@ -333,12 +347,14 @@ def doppler_maps(cube: Datacube) -> DopplerMap:
 
     The pulse map DFTs the pulse axis of the segment-summed cube (the segment
     sum equals the full-replica compression, so no second compression pass is
-    needed); the segment map applies the 2-D DFT over (pulse, segment).
+    needed); the segment map applies the 2-D DFT over (pulse, segment). Both
+    run on the cube as a (pulse, subpulse, range) view, the layout
+    build_datacube keeps.
     """
-    data = cube.data  # (range, pulse, subpulse)
-    pp = np.abs(np.fft.fft(data.sum(axis=2), axis=1)).T
-    sp = np.abs(np.fft.fft2(data, axes=(1, 2)))
-    return DopplerMap(channel=cube.channel, pp=pp, sp=np.moveaxis(sp, 0, 2))
+    data = np.moveaxis(cube.data, 0, 2)  # (pulse, subpulse, range)
+    pp = np.abs(np.fft.fft(data.sum(axis=1), axis=0))
+    sp = np.abs(np.fft.fft2(data, axes=(0, 1)))
+    return DopplerMap(channel=cube.channel, pp=pp, sp=sp)
 
 
 def _coarse_bin_to_hz(l_bin: int, num_subpulses: int, pulse_width_s: float) -> float:
@@ -376,7 +392,9 @@ def detect_and_unfold(
         k_bin, r_bin = np.unravel_index(int(np.argmax(pp)), pp.shape)
         median = float(np.median(pp))
         peak = float(pp[k_bin, r_bin])
-        ratio = peak / median if median > 0 else math.inf
+        # a median under one ulp of the peak is round-off of the FFT
+        # correlation over an empty (noiseless) map, not a noise floor
+        ratio = peak / median if median > peak * np.finfo(float).eps else math.inf
         k_sp, l_bin, _ = np.unravel_index(int(np.argmax(dmap.sp)), dmap.sp.shape)
         del k_sp
         coarse_votes.append(

@@ -26,6 +26,7 @@ from subpulse import (
     export_maps,
     fold_bin,
     make_lfm,
+    matched_filter,
     run_pipeline,
     simulate_channel,
     split_subpulses,
@@ -164,6 +165,39 @@ class TestCompression:
         sp = compress_sp(rx, split_subpulses(replica, 1))
         np.testing.assert_array_equal(sp[:, 0, :], pp)
 
+    @pytest.mark.parametrize("n", [1, 7, 8])
+    def test_fft_correlation_matches_direct_per_segment_reference(self, setup, n):
+        # n = 7 splits the 200-sample replica into unequal segments; the
+        # second window is exactly replica-long, leaving a single range bin,
+        # and one sample less leaves none
+        channel = setup.channels[0]
+        replica = make_lfm(setup)
+        segments = split_subpulses(replica, n)
+        offsets = np.cumsum([0] + [len(s) for s in segments[:-1]])
+        noisy = synth_echo(
+            setup, channel, TargetTruth(10e3, -900.0), rng=RngStream(3, 0), noise_sigma=0.5
+        )
+        exact_fit = noisy[:, 100 : 100 + replica.size]
+        for rx in (noisy, exact_fit):
+            out_len = rx.shape[1] - replica.size + 1
+            reference = np.stack(
+                [
+                    np.stack(
+                        [
+                            matched_filter(row, seg)[off : off + out_len]
+                            for seg, off in zip(segments, offsets)
+                        ]
+                    )
+                    for row in rx
+                ]
+            )
+            got = compress_sp(rx, segments)
+            assert got.shape == (rx.shape[0], n, out_len)
+            peak = np.abs(reference).max()
+            assert np.abs(got - reference).max() <= 1e-12 * peak
+        with pytest.raises(ValueError):
+            compress_sp(exact_fit[:, 1:], segments)
+
     def test_segment_path_tolerates_doppler_on_a_plain_pulse(self):
         # unmodulated rectangle, f_d * tau = 0.9: the full-pulse correlation
         # loses sinc(0.9) while each eighth only loses sinc(0.9/8)
@@ -226,6 +260,8 @@ class TestDetection:
         assert report.detected
         assert report.velocity_mps == 0.0
         assert [c.apparent_bin for c in report.channels] == [0, 0, 0, 0]
+        # a noiseless map has no noise floor; round-off must not fake one
+        assert all(math.isinf(c.peak_ratio) for c in report.channels)
 
     def test_noise_only_input_is_rejected_by_the_threshold(self, setup):
         silent = TargetTruth(range_m=10e3, radial_velocity_mps=0.0, amplitude=0.0)
