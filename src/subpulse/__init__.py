@@ -17,11 +17,7 @@ from .numerics import (
     ConvergenceError,
     QuadSpec,
     RngStream,
-    bessel_i0,
     bessel_i0_log,
-    dft_1d,
-    dft_2d,
-    gaussian,
     integrate_semi_infinite,
     matched_filter,
 )
@@ -46,7 +42,6 @@ from .detection_stats import (
     ChannelStats,
     FusionRule,
     NumericalDomainError,
-    SnrPoint,
     bivariate_rician_pdf,
     combine_m_of_l,
     from_snr,

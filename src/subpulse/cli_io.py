@@ -152,6 +152,9 @@ def _need(raw: dict, key: str, kind, *, default=None, required=False):
         return default
     value = raw[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        # json accepts NaN and Infinity, which no field of this config allows
+        if not math.isfinite(value):
+            raise ConfigError(f"field '{key}' must be a finite number, got {value}")
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -200,8 +203,8 @@ def _parse_radar(
         )
     prf_channels = []
     for i, prf in enumerate(prfs):
-        if not isinstance(prf, (int, float)) or isinstance(prf, bool) or prf <= 0:
-            raise ConfigError(f"radar.prf_hz[{i}] must be a positive number")
+        if not isinstance(prf, (int, float)) or isinstance(prf, bool) or not 0 < prf < math.inf:
+            raise ConfigError(f"radar.prf_hz[{i}] must be a positive finite number")
         pulses, subpulses = channels[i]
         prf_channels.append(PrfChannel(prf=float(prf), num_pulses=pulses, num_subpulses=subpulses))
     spacings = [ch.bin_spacing for ch in prf_channels]
@@ -315,11 +318,16 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         amplitude = _need(section, "amplitude", float, default=1.0)
         if range_m <= 0:
             raise ConfigError(f"target.range_m must be positive, got {range_m}")
-        target = TargetTruth(range_m=range_m, radial_velocity_mps=velocity, amplitude=amplitude)
+        try:
+            target = TargetTruth(
+                range_m=range_m, radial_velocity_mps=velocity, amplitude=amplitude
+            )
+        except ValueError as err:
+            raise ConfigError(f"target: {err}") from err
         noise_sigma = _need(raw, "noise_sigma", float, default=0.0)
         if noise_sigma < 0:
             raise ConfigError(f"field 'noise_sigma' must be >= 0, got {noise_sigma}")
-        export_map_files = bool(raw.get("export_maps", False))
+        export_map_files = _need(raw, "export_maps", bool, default=False)
 
     output_path = _need(raw, "output_path", str, default="results.csv")
     if not output_path:

@@ -30,7 +30,6 @@ from .numerics import QuadSpec, bessel_i0_log, integrate_semi_infinite
 
 __all__ = [
     "ChannelStats",
-    "SnrPoint",
     "FusionRule",
     "NumericalDomainError",
     "from_snr",
@@ -112,34 +111,6 @@ class ChannelStats:
 
 
 @dataclass(frozen=True)
-class SnrPoint:
-    """Operating point on the pulse-domain SNR axis.
-
-    The subpulse-domain SNR is not free: both envelopes ride on the same
-    shared scatterer, so their ratio is pinned by the correlation loadings
-    and the bin counts.
-    """
-
-    snr1_db: float
-    lambda1: float
-    lambda2: float
-    M: int
-    N: int
-
-    @property
-    def snr1_linear(self) -> float:
-        return 10.0 ** (self.snr1_db / 10.0)
-
-    @property
-    def snr2_linear(self) -> float:
-        return self.snr1_linear * (self.lambda2 / self.lambda1) ** 2 * (self.M / self.N)
-
-    @property
-    def snr2_db(self) -> float:
-        return 10.0 * math.log10(self.snr2_linear)
-
-
-@dataclass(frozen=True)
 class FusionRule:
     """Declare a fused event when at least `required` of `total` channels fire."""
 
@@ -203,20 +174,23 @@ def _log_binomials(n: int) -> list:
     ]
 
 
-def _kernel_sum(stats: ChannelStats, k_start: int, l_start: int) -> float:
+def _kernel_sum(
+    stats: ChannelStats, k_start: int, l_start: int, correction_scale: float = 1.0
+) -> float:
     """Alternating double sum over competitor-subset sizes (k, l).
 
     Each term is sign * C(M-1,k) * C(N-1,l) * (Q/P) * exp(-m + m/P) where
-    P = xi - corrections stays inside [1, xi] (equal to 1 only at k = l = 0),
-    so the exponent is never positive and every term is bounded by its
-    binomial weight.
+    P = xi - correction_scale * corrections. At the default scale P stays
+    inside [1, xi] (equal to 1 only at k = l = 0), so the exponent is never
+    positive and every term is bounded by its binomial weight. Raises
+    NumericalDomainError if P reaches zero.
     """
     lam1_sq = stats.lambda1 ** 2
     lam2_sq = stats.lambda2 ** 2
     w1 = (1.0 - lam1_sq) / 2.0
     w2 = (1.0 - lam2_sq) / 2.0
-    c1_top = lam1_sq / (2.0 * w1)
-    c2_top = lam2_sq / (2.0 * w2)
+    c1_top = correction_scale * (lam1_sq / (2.0 * w1))
+    c2_top = correction_scale * (lam2_sq / (2.0 * w2))
     xi = stats.xi
     m = stats.m
     log_b1 = _log_binomials(stats.M - 1)
@@ -286,44 +260,11 @@ def pd_closed_form_diagnostic(stats: ChannelStats) -> dict:
     before subtracting; its denominator can go non-positive, in which case
     nan is reported instead of raising.
     """
-    lam1_sq = stats.lambda1 ** 2
-    lam2_sq = stats.lambda2 ** 2
-    w1 = (1.0 - lam1_sq) / 2.0
-    w2 = (1.0 - lam2_sq) / 2.0
-    c1_top = lam1_sq / (2.0 * w1)
-    c2_top = lam2_sq / (2.0 * w2)
-    xi = stats.xi
-    m = stats.m
-    log_b1 = _log_binomials(stats.M - 1)
-    log_b2 = _log_binomials(stats.N - 1)
-
-    variant = 0.0
-    degenerate = False
-    for k in range(stats.M):
-        q1 = 1.0 + k * w1
-        corr1 = c1_top / q1
-        for l in range(stats.N):
-            q2 = 1.0 + l * w2
-            p = xi * (1.0 - corr1 - c2_top / q2)
-            if p <= 0.0:
-                degenerate = True
-                break
-            log_mag = (
-                log_b1[k]
-                + log_b2[l]
-                - math.log(q1)
-                - math.log(q2)
-                - math.log(p)
-                + m * (1.0 / p - 1.0)
-            )
-            term = math.exp(log_mag)
-            variant += -term if (k + l) % 2 else term
-        if degenerate:
-            break
-    return {
-        "adopted": pd_closed_form(stats),
-        "xi_scaled_corrections": float("nan") if degenerate else variant,
-    }
+    try:
+        variant = _kernel_sum(stats, 0, 0, correction_scale=stats.xi)
+    except NumericalDomainError:
+        variant = float("nan")
+    return {"adopted": pd_closed_form(stats), "xi_scaled_corrections": variant}
 
 
 def _log_shared_density(t: float, m: float) -> float:

@@ -268,3 +268,18 @@ class TestConfigErrors:
     def test_missing_file_is_a_config_error(self, tmp_path, capsys):
         assert main(["pd", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, flags, field", [
+        ({"target": {"range_m": 10000.0, "velocity_mps": -900.0, "amplitude": -1}},
+         [], "amplitude"),
+        ({}, ["--velocity-mps", "nan"], "velocity_mps"),
+        ({"noise_sigma": math.nan}, [], "noise_sigma"),
+        ({"prf_hz": (math.nan, 1300, 1700, 1900)}, [], "prf_hz"),
+        ({"export_maps": "no"}, [], "export_maps"),
+    ], ids=["negative-amplitude", "nan-velocity-flag", "nan-noise", "nan-prf", "string-export-maps"])
+    def test_invalid_simulate_field_is_named(self, tmp_path, capsys, overrides, flags, field):
+        config = radar_config(tmp_path, "bad.csv", **overrides)
+        assert main(["simulate", config, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not (tmp_path / "bad.csv").exists()

@@ -18,7 +18,6 @@ from scipy.stats import rice
 from subpulse import (
     ChannelStats,
     FusionRule,
-    SnrPoint,
     bivariate_rician_pdf,
     combine_m_of_l,
     from_snr,
@@ -90,10 +89,6 @@ class TestFromSnr:
         assert s.sigma1 == pytest.approx(math.sqrt(7))
         assert s.sigma2 == pytest.approx(math.sqrt(8))
         assert s.m_im == 0.0
-
-    def test_subpulse_snr_is_pinned_to_pulse_snr(self):
-        p = SnrPoint(snr1_db=10.0, lambda1=0.5, lambda2=0.99, M=7, N=8)
-        assert p.snr2_linear / p.snr1_linear == pytest.approx((0.99 / 0.5) ** 2 * 7 / 8)
 
 
 class TestClosedForms:
