@@ -29,6 +29,7 @@ from .ccrt import (
     UnfoldResult,
     apparent_bin,
     ccrt_solve,
+    ccrt_solve_array,
     common_bin_spacing,
     doppler_to_velocity,
     fold_bin,

@@ -9,10 +9,13 @@ estimate (from the subpulse axis) then picks the sign/wrap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "PrfChannel",
@@ -22,6 +25,7 @@ __all__ = [
     "OutOfWindowError",
     "modular_inverse",
     "ccrt_solve",
+    "ccrt_solve_array",
     "apparent_bin",
     "fold_bin",
     "doppler_to_velocity",
@@ -73,17 +77,10 @@ class CongruenceSystem:
         object.__setattr__(self, "residues", tuple(int(r) for r in self.residues))
         if len(self.moduli) != len(self.residues) or not self.moduli:
             raise ValueError("moduli and residues must be non-empty and equal length")
+        _check_moduli(self.moduli)
         for m, r in zip(self.moduli, self.residues):
-            if m < 1:
-                raise ValueError("moduli must be >= 1")
             if not 0 <= r < m:
                 raise ValueError(f"residue {r} out of range for modulus {m}")
-        for i in range(len(self.moduli)):
-            for j in range(i + 1, len(self.moduli)):
-                if math.gcd(self.moduli[i], self.moduli[j]) != 1:
-                    raise NotInvertibleError(
-                        f"moduli {self.moduli[i]} and {self.moduli[j]} are not coprime"
-                    )
 
     @property
     def theta(self) -> int:
@@ -125,19 +122,55 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _check_moduli(moduli: tuple[int, ...]) -> None:
+    if any(m < 1 for m in moduli):
+        raise ValueError("moduli must be >= 1")
+    for a, b in itertools.combinations(moduli, 2):
+        if math.gcd(a, b) != 1:
+            raise NotInvertibleError(f"moduli {a} and {b} are not coprime")
+
+
+@functools.lru_cache(maxsize=64)
+def _basis(moduli: tuple[int, ...]) -> tuple[int, ...]:
+    """beta_i = b_i * Theta/M_i, with b_i the inverse of Theta/M_i modulo M_i."""
+    _check_moduli(moduli)
+    theta = math.prod(moduli)
+    return tuple(modular_inverse(theta // m, m) * (theta // m) for m in moduli)
+
+
 def ccrt_solve(sys: CongruenceSystem) -> int:
     """Unique b in [0, Theta) satisfying every congruence of the system.
 
     b = (sum_i residues[i] * beta_i) mod Theta with beta_i = b_i * Theta/M_i
     and b_i the modular inverse of Theta/M_i modulo M_i.
     """
-    theta = sys.theta
-    total = 0
-    for m_i, r_i in zip(sys.moduli, sys.residues):
-        q_i = theta // m_i
-        b_i = modular_inverse(q_i, m_i)
-        total += r_i * b_i * q_i
-    return total % theta
+    basis = _basis(sys.moduli)
+    return sum(r * beta for r, beta in zip(sys.residues, basis)) % sys.theta
+
+
+def ccrt_solve_array(moduli: Sequence[int], residues) -> np.ndarray:
+    """:func:`ccrt_solve` for many residue tuples over one moduli tuple.
+
+    `residues` is an integer array whose last axis holds one residue per
+    modulus; the result holds one bin per tuple, (R @ beta) mod Theta. It
+    is int64 while sum_i (M_i - 1) * beta_i < 2**63, else an object array
+    of Python ints.
+    """
+    moduli = tuple(int(m) for m in moduli)
+    if not moduli:
+        raise ValueError("moduli must be non-empty")
+    basis = _basis(moduli)
+    r = np.asarray(residues)
+    if r.dtype.kind not in "iuO":
+        raise TypeError(f"residues must be integers, got dtype {r.dtype}")
+    if r.shape[-1:] != (len(moduli),):
+        raise ValueError(f"residues need a last axis of {len(moduli)}, got shape {r.shape}")
+    if np.any(r < 0) or np.any(r >= np.array(moduli)):
+        raise ValueError(f"residues out of range for moduli {moduli}")
+    theta = math.prod(moduli)
+    if sum((m - 1) * beta for m, beta in zip(moduli, basis)) < 2 ** 63:
+        return (r.astype(np.int64) @ np.array(basis, dtype=np.int64)) % theta
+    return (r.astype(object) @ np.array(basis, dtype=object)) % theta
 
 
 def apparent_bin(f_ap: float, channel: PrfChannel) -> int:

@@ -6,15 +6,19 @@ forms in detection_stats are accepted against.
 
 Reproducibility: work is split into fixed-size batches and batch b draws
 from RngStream(seed, stream_id=b), so a run is bit-identical for a given
-(seed, trials, batch_size) no matter how batches are scheduled. With
-batch_size=1 the stream addressing degenerates to one stream per trial and
-`estimate` consumes randomness exactly like `run_trial` does.
+(seed, trials, batch_size) no matter how batches are scheduled; `estimate`
+runs them on a thread pool, one worker per usable CPU (numpy's generators
+release the GIL while they fill arrays). With batch_size=1 the stream
+addressing degenerates to one stream per trial and `estimate` consumes
+randomness exactly like `run_trial` does.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,9 @@ __all__ = [
 ]
 
 _DEFAULT_BATCH = 1 << 16
+# Rows of competitor draws held at once; keeps the working set of a
+# 65536-trial batch small while two batches run side by side.
+_SLICE_ROWS = 4096
 _ROOT_HALF = math.sqrt(0.5)  # std of a variance-1/2 component
 
 
@@ -111,17 +118,28 @@ def run_trial(rng: RngStream, stats: ChannelStats) -> TrialOutcome:
     Detection means winning both maps, a false alarm losing both; anything
     else is mixed. Empty competitor sets are automatic wins.
     """
-    r1, r2 = sample_pair(rng, stats)
-    g = rng.generator
-    x = g.rayleigh(stats.sigma1, stats.M - 1)
-    y = g.rayleigh(stats.sigma2, stats.N - 1)
-    xmax = float(x.max()) if x.size else -math.inf
-    ymax = float(y.max()) if y.size else -math.inf
-    if r1 > xmax and r2 > ymax:
+    detections, false_alarms = _run_batch(rng, stats, 1)
+    if detections:
         return TrialOutcome.DETECTION
-    if xmax > r1 and ymax > r2:
+    if false_alarms:
         return TrialOutcome.FALSE_ALARM
     return TrialOutcome.MIXED
+
+
+def _competitor_max(g: np.random.Generator, sigma: float, n: int, k: int) -> np.ndarray:
+    """Row maxima of n rows of k Rayleigh(sigma) draws; -inf when k = 0.
+
+    Bit-identical to g.rayleigh(sigma, (n, k)).max(axis=1, initial=-inf):
+    rayleigh is sigma * sqrt(2 E) on the same standard-exponential stream,
+    the map is monotone, and row-major slices keep the draw order.
+    """
+    emax = np.full(n, -np.inf)
+    if k == 0:
+        return emax
+    for start in range(0, n, _SLICE_ROWS):
+        stop = min(start + _SLICE_ROWS, n)
+        g.standard_exponential((stop - start, k)).max(axis=1, out=emax[start:stop])
+    return sigma * np.sqrt(2.0 * emax)
 
 
 def _run_batch(rng: RngStream, stats: ChannelStats, n: int):
@@ -129,13 +147,17 @@ def _run_batch(rng: RngStream, stats: ChannelStats, n: int):
     r1 = np.abs(g1)
     r2 = np.abs(g2)
     g = rng.generator
-    x = g.rayleigh(stats.sigma1, (n, stats.M - 1))
-    y = g.rayleigh(stats.sigma2, (n, stats.N - 1))
-    xmax = x.max(axis=1, initial=-np.inf)
-    ymax = y.max(axis=1, initial=-np.inf)
+    xmax = _competitor_max(g, stats.sigma1, n, stats.M - 1)
+    ymax = _competitor_max(g, stats.sigma2, n, stats.N - 1)
     detections = int(np.count_nonzero((r1 > xmax) & (r2 > ymax)))
     false_alarms = int(np.count_nonzero((xmax > r1) & (ymax > r2)))
     return detections, false_alarms
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _binomial_stderr(p_hat: float, trials: int) -> float:
@@ -144,17 +166,27 @@ def _binomial_stderr(p_hat: float, trials: int) -> float:
 
 def estimate(config: McConfig) -> McEstimate:
     """Aggregate run_trial over config.trials; deterministic for fixed seed."""
-    detections = 0
-    false_alarms = 0
-    done = 0
-    stream = 0
-    while done < config.trials:
-        n = min(config.batch_size, config.trials - done)
-        d, f = _run_batch(RngStream(config.seed, stream_id=stream), config.stats, n)
-        detections += d
-        false_alarms += f
-        done += n
-        stream += 1
+    batches = -(-config.trials // config.batch_size)
+
+    def run_streams(first: int, step: int):
+        detections = false_alarms = 0
+        for stream in range(first, batches, step):
+            n = min(config.batch_size, config.trials - stream * config.batch_size)
+            d, f = _run_batch(RngStream(config.seed, stream_id=stream), config.stats, n)
+            detections += d
+            false_alarms += f
+        return detections, false_alarms
+
+    # Worker w runs batches w, w + workers, ...; integer counts sum to the
+    # same totals whatever the schedule.
+    workers = min(batches, _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(run_streams, range(workers), [workers] * workers))
+    else:
+        counts = [run_streams(0, 1)]
+    detections = sum(d for d, _ in counts)
+    false_alarms = sum(f for _, f in counts)
     pd_hat = detections / config.trials
     pfa_hat = false_alarms / config.trials
     return McEstimate(

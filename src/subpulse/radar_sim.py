@@ -139,12 +139,12 @@ class TargetTruth:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not self.range_m > 0:
-            raise ValueError(f"range_m must be positive, got {self.range_m!r}")
+        if not (math.isfinite(self.range_m) and self.range_m > 0):
+            raise ValueError(f"range_m must be finite and positive, got {self.range_m!r}")
         if not math.isfinite(self.radial_velocity_mps):
             raise ValueError("radial_velocity_mps must be finite")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be non-negative, got {self.amplitude!r}")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)

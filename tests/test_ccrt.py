@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from subpulse import (
     PrfChannel,
     apparent_bin,
     ccrt_solve,
+    ccrt_solve_array,
     common_bin_spacing,
     doppler_to_velocity,
     fold_bin,
@@ -82,6 +84,43 @@ class TestCcrtSolve:
 
     def test_theta_is_the_product(self):
         assert CongruenceSystem(moduli=list(MODULI), residues=[0, 0, 0, 0]).theta == THETA
+
+
+class TestCcrtSolveArray:
+    def test_matches_the_scalar_solve(self):
+        rng = np.random.default_rng(3)
+        bins = np.concatenate([np.arange(50), rng.integers(0, THETA, 500), [THETA - 1]])
+        residues = bins[:, None] % np.array(MODULI)
+        solved = ccrt_solve_array(MODULI, residues)
+        assert solved.dtype == np.int64
+        assert solved.tolist() == [
+            ccrt_solve(CongruenceSystem(moduli=MODULI, residues=tuple(r))) for r in residues
+        ]
+        assert solved.tolist() == bins.tolist()
+
+    def test_python_int_fallback_beyond_int64(self):
+        moduli = (65521, 65519, 65497, 65479)  # primes near 2**16
+        theta = math.prod(moduli)
+        assert theta > 2 ** 63
+        rng = np.random.default_rng(4)
+        bins = [0, 1, theta - 1] + [int(rng.integers(0, 2 ** 62)) * 4 + k for k in range(3)]
+        residues = np.array([[b % m for m in moduli] for b in bins])
+        solved = ccrt_solve_array(moduli, residues)
+        assert solved.dtype == object
+        assert solved.tolist() == bins
+        assert solved.tolist() == [
+            ccrt_solve(CongruenceSystem(moduli=moduli, residues=tuple(r))) for r in residues
+        ]
+
+    def test_non_coprime_moduli_rejected(self):
+        with pytest.raises(NotInvertibleError):
+            ccrt_solve_array((6, 9), [[1, 2]])
+
+    def test_residue_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            ccrt_solve_array((3, 5), [[0, 0], [3, 0]])
+        with pytest.raises(ValueError):
+            ccrt_solve_array((3, 5), [[0, 0, 0]])
 
 
 class TestBinMaps:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from subpulse import FusionRule, combine_m_of_l, from_snr, main, pd_closed_form, pfa_closed_form
+from subpulse import cli_io
 from subpulse.cli_io import SCHEMAS
 from subpulse.montecarlo import McConfig, estimate
 
@@ -184,6 +185,21 @@ class TestCongruenceMode:
         assert row["moduli"] == "3x5x7"
         assert int(row["theta"]) == 105
         assert int(row["passed"]) == 105
+        assert int(row["all_pass"]) == 1
+
+    def test_lattice_spanning_several_blocks_is_checked_whole(self, tmp_path):
+        moduli = (11, 13, 17, 19)
+        theta = math.prod(moduli)
+        assert theta > cli_io._CCRT_BLOCK and theta % cli_io._CCRT_BLOCK
+        config = write_config(tmp_path, "lattice.json", {
+            "channels": [{"pulses": m} for m in moduli],
+            "output_path": str(tmp_path / "lattice.csv"),
+        })
+        assert main(["ccrt-check", config]) == 0
+        _, rows = read_csv(tmp_path / "lattice.csv")
+        (row,) = rows
+        assert int(row["checked"]) == theta
+        assert int(row["passed"]) == theta
         assert int(row["all_pass"]) == 1
 
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from subpulse import montecarlo
 from subpulse import (
     ChannelStats,
     McConfig,
@@ -163,6 +164,47 @@ class TestEstimate:
         s = reference_stats(pulses=17, snr1_db=5.0)
         est = estimate(McConfig(stats=s, seed=0, trials=10 ** 6))
         assert abs(est.pfa_hat - pfa_closed_form(s)) <= 3 * est.stderr_pfa
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("batches", [1, 2, 5])
+    def test_threaded_batches_equal_the_serial_stream_sum(self, monkeypatch, batches, cpus):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        s = reference_stats()
+        batch_size, seed = 1000, 21
+        trials = batch_size * (batches - 1) + 337
+        est = estimate(McConfig(stats=s, seed=seed, trials=trials, batch_size=batch_size))
+        counts = [
+            montecarlo._run_batch(RngStream(seed, b), s, min(batch_size, trials - b * batch_size))
+            for b in range(batches)
+        ]
+        assert est.pd_hat == sum(d for d, _ in counts) / trials
+        assert est.pfa_hat == sum(f for _, f in counts) / trials
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("k", [0, 1, 30])
+    def test_sliced_exponential_max_equals_the_rayleigh_row_max(self, k, n):
+        expected = np.random.default_rng(8).rayleigh(0.7, (n, k)).max(axis=1, initial=-np.inf)
+        g = np.random.default_rng(8)
+        got = montecarlo._competitor_max(g, 0.7, n, k)
+        assert got.tobytes() == expected.tobytes()
+        # and the stream is left where the full draw leaves it
+        after = np.random.default_rng(8)
+        after.rayleigh(0.7, (n, k))
+        assert g.random() == after.random()
+
+    def test_batch_matches_full_rayleigh_competitor_draws(self):
+        s = reference_stats(pulses=17)
+        n = 2 * montecarlo._SLICE_ROWS + 3
+        rng = RngStream(6, 2)
+        g1, g2 = montecarlo._complex_batch(rng, s, n)
+        r1, r2 = np.abs(g1), np.abs(g2)
+        xmax = rng.generator.rayleigh(s.sigma1, (n, s.M - 1)).max(axis=1)
+        ymax = rng.generator.rayleigh(s.sigma2, (n, s.N - 1)).max(axis=1)
+        expected = (
+            int(np.count_nonzero((r1 > xmax) & (r2 > ymax))),
+            int(np.count_nonzero((xmax > r1) & (ymax > r2))),
+        )
+        assert montecarlo._run_batch(RngStream(6, 2), s, n) == expected
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -248,6 +248,24 @@ class TestMaps:
             build_datacube(np.zeros((3, 4)), setup.channels[0])
 
 
+class TestTargetTruth:
+    @pytest.mark.parametrize("field, value", [
+        ("amplitude", math.nan),
+        ("amplitude", math.inf),
+        ("amplitude", -1.0),
+        ("range_m", math.inf),
+        ("range_m", math.nan),
+        ("range_m", 0.0),
+        ("radial_velocity_mps", math.nan),
+        ("radial_velocity_mps", -math.inf),
+    ])
+    def test_invalid_field_is_refused_by_name(self, field, value):
+        fields = {"range_m": 10e3, "radial_velocity_mps": -900.0, "amplitude": 1.0}
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            TargetTruth(**fields)
+
+
 class TestDetection:
     def test_noiseless_receding_target_recovers_velocity(self, setup):
         report = run_pipeline(setup, TargetTruth(range_m=10e3, radial_velocity_mps=-900.0))
