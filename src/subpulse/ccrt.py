@@ -9,7 +9,6 @@ estimate (from the subpulse axis) then picks the sign/wrap.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,7 +129,6 @@ def _check_moduli(moduli: tuple[int, ...]) -> None:
             raise NotInvertibleError(f"moduli {a} and {b} are not coprime")
 
 
-@functools.lru_cache(maxsize=64)
 def _basis(moduli: tuple[int, ...]) -> tuple[int, ...]:
     """beta_i = b_i * Theta/M_i, with b_i the inverse of Theta/M_i modulo M_i."""
     _check_moduli(moduli)

@@ -8,9 +8,10 @@ Reproducibility: work is split into fixed-size batches and batch b draws
 from RngStream(seed, stream_id=b), so a run is bit-identical for a given
 (seed, trials, batch_size) no matter how batches are scheduled; `estimate`
 runs them on a thread pool, one worker per usable CPU (numpy's generators
-release the GIL while they fill arrays). With batch_size=1 the stream
-addressing degenerates to one stream per trial and `estimate` consumes
-randomness exactly like `run_trial` does.
+release the GIL while they fill arrays). Each worker holds one batch's
+working set, so peak memory grows with the worker count. With batch_size=1
+the stream addressing degenerates to one stream per trial and `estimate`
+consumes randomness exactly like `run_trial` does.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
 
 _DEFAULT_BATCH = 1 << 16
 # Rows of competitor draws held at once; keeps the working set of a
-# 65536-trial batch small while two batches run side by side.
+# 65536-trial batch small while batches run side by side.
 _SLICE_ROWS = 4096
 _ROOT_HALF = math.sqrt(0.5)  # std of a variance-1/2 component
 
@@ -168,23 +169,13 @@ def estimate(config: McConfig) -> McEstimate:
     """Aggregate run_trial over config.trials; deterministic for fixed seed."""
     batches = -(-config.trials // config.batch_size)
 
-    def run_streams(first: int, step: int):
-        detections = false_alarms = 0
-        for stream in range(first, batches, step):
-            n = min(config.batch_size, config.trials - stream * config.batch_size)
-            d, f = _run_batch(RngStream(config.seed, stream_id=stream), config.stats, n)
-            detections += d
-            false_alarms += f
-        return detections, false_alarms
+    def run_batch(b: int):
+        n = min(config.batch_size, config.trials - b * config.batch_size)
+        return _run_batch(RngStream(config.seed, stream_id=b), config.stats, n)
 
-    # Worker w runs batches w, w + workers, ...; integer counts sum to the
-    # same totals whatever the schedule.
-    workers = min(batches, _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run_streams, range(workers), [workers] * workers))
-    else:
-        counts = [run_streams(0, 1)]
+    # Integer counts sum to the same totals whatever the schedule.
+    with ThreadPoolExecutor(max_workers=min(batches, _usable_cpus())) as pool:
+        counts = list(pool.map(run_batch, range(batches)))
     detections = sum(d for d, _ in counts)
     false_alarms = sum(f for _, f in counts)
     pd_hat = detections / config.trials
