@@ -47,7 +47,6 @@ from .detection_stats import (
     combine_m_of_l,
     from_snr,
     pd_closed_form,
-    pd_closed_form_diagnostic,
     pd_oracle,
     pfa_closed_form,
     pfa_oracle,
@@ -58,8 +57,6 @@ from .montecarlo import (
     TrialOutcome,
     estimate,
     run_trial,
-    sample_complex_pair,
-    sample_pair,
 )
 from .radar_sim import (
     DETECTION_THRESHOLD,
@@ -76,7 +73,6 @@ from .radar_sim import (
     detect_and_unfold,
     doppler_maps,
     export_datacube,
-    export_float32,
     export_maps,
     make_lfm,
     run_pipeline,

@@ -54,10 +54,10 @@ class PrfChannel:
         if self.prf <= 0:
             raise ValueError("prf must be positive")
         for name in ("num_pulses", "num_subpulses"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
+            v = _integral(getattr(self, name), name)
+            if v < 1:
                 raise ValueError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, v)
 
     @property
     def bin_spacing(self) -> float:
@@ -72,8 +72,8 @@ class CongruenceSystem:
     residues: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
-        object.__setattr__(self, "residues", tuple(int(r) for r in self.residues))
+        object.__setattr__(self, "moduli", tuple(_integral(m, "modulus") for m in self.moduli))
+        object.__setattr__(self, "residues", tuple(_integral(r, "residue") for r in self.residues))
         if len(self.moduli) != len(self.residues) or not self.moduli:
             raise ValueError("moduli and residues must be non-empty and equal length")
         _check_moduli(self.moduli)
@@ -95,30 +95,27 @@ class UnfoldResult:
     coarse_hz: float
 
 
+def _integral(value, name: str) -> int:
+    """`value` as an int; a ValueError naming `name` unless it is integral."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def modular_inverse(a: int, m: int) -> int:
-    """Smallest b in [1, m) with (a*b) mod m = 1, by extended Euclid."""
-    a, m = int(a), int(m)
+    """Smallest b in [1, m) with (a*b) mod m = 1, or 0 when m = 1; pow(a, -1, m)."""
+    a, m = _integral(a, "a"), _integral(m, "modulus")
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    g, x, _ = _extended_gcd(a % m, m)
-    if g != 1:
-        raise NotInvertibleError(f"{a} has no inverse modulo {m} (gcd {g})")
-    if m == 1:
-        return 0
-    return x % m
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with a*x + b*y = g
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(
+            f"{a} has no inverse modulo {m} (gcd {math.gcd(a, m)})"
+        ) from None
 
 
 def _check_moduli(moduli: tuple[int, ...]) -> None:
@@ -154,13 +151,15 @@ def ccrt_solve_array(moduli: Sequence[int], residues) -> np.ndarray:
     is int64 while sum_i (M_i - 1) * beta_i < 2**63, else an object array
     of Python ints.
     """
-    moduli = tuple(int(m) for m in moduli)
+    moduli = tuple(_integral(m, "modulus") for m in moduli)
     if not moduli:
         raise ValueError("moduli must be non-empty")
     basis = _basis(moduli)
     r = np.asarray(residues)
     if r.dtype.kind not in "iuO":
         raise TypeError(f"residues must be integers, got dtype {r.dtype}")
+    if r.dtype.kind == "O":
+        r = np.array([_integral(x, "residue") for x in r.flat], dtype=object).reshape(r.shape)
     if r.shape[-1:] != (len(moduli),):
         raise ValueError(f"residues need a last axis of {len(moduli)}, got shape {r.shape}")
     if np.any(r < 0) or np.any(r >= np.array(moduli)):
@@ -190,9 +189,10 @@ def apparent_bin(f_ap: float, channel: PrfChannel) -> int:
 
 def fold_bin(b_d: int, channel: PrfChannel) -> int:
     """Residue of a true bin index: b_d mod M."""
+    b_d = _integral(b_d, "bin index")
     if b_d < 0:
         raise ValueError("bin index must be non-negative")
-    return int(b_d) % channel.num_pulses
+    return b_d % channel.num_pulses
 
 
 def doppler_to_velocity(f_d: float, wavelength: float) -> float:

@@ -287,7 +287,11 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
     mc_section = _need(raw, "mc", dict, default={})
     mc_trials = _need(mc_section, "trials", int, default=10**6)
     mc_batch = _need(mc_section, "batch_size", int, default=1 << 16)
-    seed = _need(raw, "seed", int, default=_need(mc_section, "seed", int))
+    mc_seed = _need(mc_section, "seed", int)
+    seed = _need(raw, "seed", int, default=mc_seed)
+    for name, value in (("mc.seed", mc_seed), ("seed", seed)):
+        if value is not None and value < 0:
+            raise ConfigError(f"field '{name}' must be >= 0, got {value}")
     if mc_trials < 1:
         raise ConfigError(f"mc.trials must be >= 1, got {mc_trials}")
     if mc_batch < 1:

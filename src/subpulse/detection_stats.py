@@ -34,7 +34,6 @@ __all__ = [
     "NumericalDomainError",
     "from_snr",
     "pd_closed_form",
-    "pd_closed_form_diagnostic",
     "pfa_closed_form",
     "pd_oracle",
     "pfa_oracle",
@@ -174,23 +173,20 @@ def _log_binomials(n: int) -> list:
     ]
 
 
-def _kernel_sum(
-    stats: ChannelStats, k_start: int, l_start: int, correction_scale: float = 1.0
-) -> float:
+def _kernel_sum(stats: ChannelStats, k_start: int, l_start: int) -> float:
     """Alternating double sum over competitor-subset sizes (k, l).
 
     Each term is sign * C(M-1,k) * C(N-1,l) * (Q/P) * exp(-m + m/P) where
-    P = xi - correction_scale * corrections. At the default scale P stays
-    inside [1, xi] (equal to 1 only at k = l = 0), so the exponent is never
-    positive and every term is bounded by its binomial weight. Raises
-    NumericalDomainError if P reaches zero.
+    P = xi - corrections. P stays inside [1, xi] (equal to 1 only at
+    k = l = 0), so the exponent is never positive and every term is bounded
+    by its binomial weight. Raises NumericalDomainError if P reaches zero.
     """
     lam1_sq = stats.lambda1 ** 2
     lam2_sq = stats.lambda2 ** 2
     w1 = (1.0 - lam1_sq) / 2.0
     w2 = (1.0 - lam2_sq) / 2.0
-    c1_top = correction_scale * (lam1_sq / (2.0 * w1))
-    c2_top = correction_scale * (lam2_sq / (2.0 * w2))
+    c1_top = lam1_sq / (2.0 * w1)
+    c2_top = lam2_sq / (2.0 * w2)
     xi = stats.xi
     m = stats.m
     log_b1 = _log_binomials(stats.M - 1)
@@ -249,22 +245,6 @@ def pfa_closed_form(stats: ChannelStats) -> float:
     if stats.M == 1 or stats.N == 1:
         return 0.0
     return _checked_probability(_kernel_sum(stats, 1, 1), "false-alarm probability")
-
-
-def pd_closed_form_diagnostic(stats: ChannelStats) -> dict:
-    """Report the detection sum under both placements of the xi factor.
-
-    `adopted` subtracts the correction terms from xi directly (the variant
-    validated by the quadrature oracle; it alone gives PD = 1 with no
-    competitors). `xi_scaled_corrections` multiplies each correction by xi
-    before subtracting; its denominator can go non-positive, in which case
-    nan is reported instead of raising.
-    """
-    try:
-        variant = _kernel_sum(stats, 0, 0, correction_scale=stats.xi)
-    except NumericalDomainError:
-        variant = float("nan")
-    return {"adopted": pd_closed_form(stats), "xi_scaled_corrections": variant}
 
 
 def _log_shared_density(t: float, m: float) -> float:

@@ -31,8 +31,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "TrialOutcome",
-    "sample_complex_pair",
-    "sample_pair",
     "run_trial",
     "estimate",
 ]
@@ -63,6 +61,8 @@ class McConfig:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "batch_size", int(self.batch_size))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.batch_size < 1:
@@ -98,18 +98,6 @@ def _complex_batch(rng: RngStream, stats: ChannelStats, n: int):
     g1 = stats.sigma1 * ((k1 * a1 + stats.lambda1 * a0) + 1j * (k1 * b1 + stats.lambda1 * b0))
     g2 = stats.sigma2 * ((k2 * a2 + stats.lambda2 * a0) + 1j * (k2 * b2 + stats.lambda2 * b0))
     return g1, g2
-
-
-def sample_complex_pair(rng: RngStream, stats: ChannelStats):
-    """One draw of the correlated complex pair (before envelope detection)."""
-    g1, g2 = _complex_batch(rng, stats, 1)
-    return complex(g1[0]), complex(g2[0])
-
-
-def sample_pair(rng: RngStream, stats: ChannelStats):
-    """One draw of the correlated envelope pair (r1, r2)."""
-    g1, g2 = sample_complex_pair(rng, stats)
-    return abs(g1), abs(g2)
 
 
 def run_trial(rng: RngStream, stats: ChannelStats) -> TrialOutcome:

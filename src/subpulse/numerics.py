@@ -71,6 +71,9 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         self._gen = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         )

@@ -1,10 +1,11 @@
 """End-to-end pulsed radar simulation: waveform, echoes, compression, maps.
 
 A linear-FM pulse train is transmitted on several PRF channels. Each received
-pulse is range-compressed twice: once against the full replica (fine Doppler
-resolution, narrow Doppler tolerance) and once against each of N replica
-segments (coarse resolution, wide tolerance). Per-range DFTs turn the pulse
-and segment axes into the two Doppler maps whose peaks feed the
+pulse is range-compressed against each of N replica segments; the segment
+outputs sum to the full-replica compression. A per-range 2-D DFT over the
+pulse and segment axes gives the segment map (coarse resolution, wide
+Doppler tolerance), and its zero-segment-frequency slice is the pulse map
+(fine resolution, narrow tolerance). The peaks of both maps feed the
 congruence-based velocity unfolding in ccrt.
 
 Intra-pulse Doppler is modelled as a phase that advances once per subpulse
@@ -53,7 +54,6 @@ __all__ = [
     "detect_and_unfold",
     "simulate_channel",
     "run_pipeline",
-    "export_float32",
     "export_datacube",
     "export_maps",
 ]
@@ -172,7 +172,8 @@ class Datacube:
 class DopplerMap:
     """Magnitude maps of one channel.
 
-    pp: [pulse-doppler bin, range bin], from the full-replica path.
+    pp: [pulse-doppler bin, range bin], the full-replica map (sp's
+        zero subpulse-doppler slice).
     sp: [pulse-doppler bin, subpulse-doppler bin, range bin], from the 2-D DFT.
     """
 
@@ -345,16 +346,15 @@ def build_datacube(profiles, channel: PrfChannel) -> Datacube:
 def doppler_maps(cube: Datacube) -> DopplerMap:
     """Magnitude Doppler maps of one datacube.
 
-    The pulse map DFTs the pulse axis of the segment-summed cube (the segment
-    sum equals the full-replica compression, so no second compression pass is
-    needed); the segment map applies the 2-D DFT over (pulse, segment). Both
-    run on the cube as a (pulse, subpulse, range) view, the layout
-    build_datacube keeps.
+    The segment map is the 2-D DFT over (pulse, segment), taken on the cube
+    as a (pulse, subpulse, range) view, the layout build_datacube keeps. The
+    pulse map is its zero-segment-frequency slice: the segment DFT at
+    frequency 0 is the segment sum, which equals the full-replica
+    compression.
     """
     data = np.moveaxis(cube.data, 0, 2)  # (pulse, subpulse, range)
-    pp = np.abs(np.fft.fft(data.sum(axis=1), axis=0))
     sp = np.abs(np.fft.fft2(data, axes=(0, 1)))
-    return DopplerMap(channel=cube.channel, pp=pp, sp=sp)
+    return DopplerMap(channel=cube.channel, pp=sp[:, 0, :], sp=sp)
 
 
 def _coarse_bin_to_hz(l_bin: int, num_subpulses: int, pulse_width_s: float) -> float:
@@ -467,7 +467,7 @@ def run_pipeline(
     return detect_and_unfold(maps, setup, spacing_tolerance_hz=spacing_tolerance_hz)
 
 
-def export_float32(path, array, axis_names, meta: dict = None) -> Path:
+def _export_float32(path, array, axis_names, meta: dict = None) -> Path:
     """Write an array as little-endian float32 plus a JSON sidecar.
 
     Complex input gains a trailing length-2 component axis (real, imag).
@@ -496,7 +496,7 @@ def export_float32(path, array, axis_names, meta: dict = None) -> Path:
 
 
 def export_datacube(cube: Datacube, path) -> Path:
-    return export_float32(
+    return _export_float32(
         path,
         cube.data,
         ("range", "pulse", "subpulse"),
@@ -506,10 +506,10 @@ def export_datacube(cube: Datacube, path) -> Path:
 
 def export_maps(dmap: DopplerMap, path_base) -> tuple:
     base = str(path_base)
-    pp_path = export_float32(
+    pp_path = _export_float32(
         base + ".pp.f32", dmap.pp, ("pulse_doppler", "range"), meta={"prf_hz": dmap.channel.prf}
     )
-    sp_path = export_float32(
+    sp_path = _export_float32(
         base + ".sp.f32",
         dmap.sp,
         ("pulse_doppler", "subpulse_doppler", "range"),

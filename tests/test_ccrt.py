@@ -45,16 +45,22 @@ class TestModularInverse:
         with pytest.raises(NotInvertibleError):
             modular_inverse(6, 9)
 
-    @given(st.integers(min_value=1, max_value=500), st.integers(min_value=2, max_value=500))
+    def test_non_integer_arguments_rejected(self):
+        with pytest.raises(ValueError, match="a must be an integer"):
+            modular_inverse(2.5, 7)
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            modular_inverse(2, 7.5)
+
+    @given(st.integers(min_value=-500, max_value=500), st.integers(min_value=1, max_value=500))
     @settings(max_examples=100, deadline=None)
     def test_product_is_one_whenever_defined(self, a, m):
         if math.gcd(a, m) != 1:
-            with pytest.raises(NotInvertibleError):
+            with pytest.raises(NotInvertibleError, match=f"gcd {math.gcd(a, m)}"):
                 modular_inverse(a, m)
         else:
             inv = modular_inverse(a, m)
-            assert 1 <= inv < m
-            assert a * inv % m == 1
+            assert 0 <= inv < m and (inv >= 1 or m == 1)
+            assert a * inv % m == 1 % m
 
 
 class TestCcrtSolve:
@@ -81,6 +87,12 @@ class TestCcrtSolve:
     def test_residue_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CongruenceSystem(moduli=[3, 5], residues=[3, 0])
+        with pytest.raises(ValueError, match="residue"):
+            CongruenceSystem(moduli=(3, 5), residues=(1.5, 2))
+        with pytest.raises(ValueError, match="modulus"):
+            CongruenceSystem(moduli=(3.9, 5), residues=(1, 2))
+        with pytest.raises(ValueError, match="bin index"):
+            fold_bin(7.9, PrfChannel(prf=500.0, num_pulses=5))
 
     def test_theta_is_the_product(self):
         assert CongruenceSystem(moduli=list(MODULI), residues=[0, 0, 0, 0]).theta == THETA
@@ -121,6 +133,10 @@ class TestCcrtSolveArray:
             ccrt_solve_array((3, 5), [[0, 0], [3, 0]])
         with pytest.raises(ValueError):
             ccrt_solve_array((3, 5), [[0, 0, 0]])
+        with pytest.raises(ValueError, match="residue"):
+            ccrt_solve_array((3, 5), np.array([[1.5, 2]], dtype=object))
+        with pytest.raises(ValueError, match="modulus"):
+            ccrt_solve_array((3.9, 5), [[1, 2]])
 
 
 class TestBinMaps:

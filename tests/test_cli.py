@@ -292,10 +292,25 @@ class TestConfigErrors:
         ({"noise_sigma": math.nan}, [], "noise_sigma"),
         ({"prf_hz": (math.nan, 1300, 1700, 1900)}, [], "prf_hz"),
         ({"export_maps": "no"}, [], "export_maps"),
-    ], ids=["negative-amplitude", "nan-velocity-flag", "nan-noise", "nan-prf", "string-export-maps"])
+        ({"seed": -3}, [], "'seed'"),
+        ({}, ["--seed", "-1"], "'seed'"),
+    ], ids=["negative-amplitude", "nan-velocity-flag", "nan-noise", "nan-prf", "string-export-maps",
+            "negative-seed", "negative-seed-flag"])
     def test_invalid_simulate_field_is_named(self, tmp_path, capsys, overrides, flags, field):
         config = radar_config(tmp_path, "bad.csv", **overrides)
         assert main(["simulate", config, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("overrides, flags, field", [
+        ({"seed": -3}, [], "'seed'"),
+        ({"mc": {"seed": -2}}, [], "'mc.seed'"),
+        ({"seed": 5}, ["--seed", "-1"], "'seed'"),
+    ], ids=["negative-seed", "negative-mc-seed", "negative-seed-flag"])
+    def test_invalid_mc_seed_is_named(self, tmp_path, capsys, overrides, flags, field):
+        config = sweep_config(tmp_path, "bad.csv", **overrides)
+        assert main(["mc", config, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not (tmp_path / "bad.csv").exists()

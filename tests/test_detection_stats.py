@@ -23,7 +23,6 @@ from subpulse import (
     from_snr,
     integrate_semi_infinite,
     pd_closed_form,
-    pd_closed_form_diagnostic,
     pd_oracle,
     pfa_closed_form,
     pfa_oracle,
@@ -117,15 +116,6 @@ class TestClosedForms:
         assert s.m == pytest.approx(17.641790623679984, rel=1e-14)
         assert pd_closed_form(s) == pytest.approx(0.43344678819589993, abs=1e-13)
         assert pfa_closed_form(s) == pytest.approx(0.010882684714138627, abs=1e-13)
-
-    def test_diagnostic_reports_both_exponent_conventions(self):
-        s = from_snr(10.0, 0.5, 0.99, 7, 8)
-        d = pd_closed_form_diagnostic(s)
-        assert d["adopted"] == pd_closed_form(s)
-        # the rejected convention is not a probability here
-        assert not (0.0 <= d["xi_scaled_corrections"] <= 1.0) or (
-            abs(d["xi_scaled_corrections"] - d["adopted"]) > 1e-6
-        )
 
 
 class TestOracles:

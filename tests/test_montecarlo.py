@@ -22,8 +22,6 @@ from subpulse import (
     pd_closed_form,
     pfa_closed_form,
     run_trial,
-    sample_complex_pair,
-    sample_pair,
 )
 
 FIG2_POINT = dict(snr1_db=10.0, lambda1=0.5, lambda2=0.99, N=8)
@@ -36,24 +34,16 @@ def reference_stats(pulses=7, snr1_db=10.0):
 class TestSampler:
     def test_complex_mean_tracks_the_loaded_mean(self):
         s = ChannelStats(1.0, 1.0, 0.5, 0.99, 1.5, -0.8, 5, 5)
-        rng = RngStream(17, 0)
         n = 200_000
-        acc = 0j
-        for _ in range(n):
-            g1, _ = sample_complex_pair(rng, s)
-            acc += g1
-        mean = acc / n
+        g1, _ = montecarlo._complex_batch(RngStream(17, 0), s, n)
+        mean = g1.mean()
         target = s.sigma1 * s.lambda1 * complex(s.m_re, s.m_im)
         assert abs(mean - target) <= 3.0 / math.sqrt(n)
 
     def test_complex_correlation_equals_loading_product(self):
         s = ChannelStats(1.0, 1.0, 0.5, 0.99, 1.5, -0.8, 5, 5)
-        rng = RngStream(19, 0)
         n = 200_000
-        g1 = np.empty(n, complex)
-        g2 = np.empty(n, complex)
-        for i in range(n):
-            g1[i], g2[i] = sample_complex_pair(rng, s)
+        g1, g2 = montecarlo._complex_batch(RngStream(19, 0), s, n)
         cov = np.mean(g1 * np.conj(g2)) - g1.mean() * np.conj(g2.mean())
         denom = math.sqrt(
             (np.var(g1.real) + np.var(g1.imag)) * (np.var(g2.real) + np.var(g2.imag))
@@ -62,20 +52,10 @@ class TestSampler:
 
     def test_vanishing_loadings_decouple_the_envelopes(self):
         s = ChannelStats(1.0, 1.0, 1e-6, 1e-6, 0.0, 0.0, 5, 5)
-        rng = RngStream(18, 0)
         n = 200_000
-        p1 = np.empty(n)
-        p2 = np.empty(n)
-        for i in range(n):
-            r1, r2 = sample_pair(rng, s)
-            p1[i], p2[i] = r1 * r1, r2 * r2
+        g1, g2 = montecarlo._complex_batch(RngStream(18, 0), s, n)
+        p1, p2 = np.abs(g1) ** 2, np.abs(g2) ** 2
         assert abs(np.corrcoef(p1, p2)[0, 1]) <= 3.0 / math.sqrt(n)
-
-    def test_envelopes_are_magnitudes_of_the_complex_pair(self):
-        s = reference_stats()
-        r1, r2 = sample_pair(RngStream(4, 0), s)
-        g1, g2 = sample_complex_pair(RngStream(4, 0), s)
-        assert (r1, r2) == (abs(g1), abs(g2))
 
 
 class TestRunTrial:
@@ -211,3 +191,5 @@ class TestEstimate:
             McConfig(stats=reference_stats(), seed=0, trials=0)
         with pytest.raises(ValueError):
             McConfig(stats=reference_stats(), seed=0, trials=10, batch_size=0)
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(stats=reference_stats(), seed=-3)

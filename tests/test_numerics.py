@@ -134,6 +134,11 @@ class TestRngAndGaussian:
         b = RngStream(42, 1)
         assert a.generator.normal(0.0, 0.5) != b.generator.normal(0.0, 0.5)
 
+    @pytest.mark.parametrize("seed, stream_id, name", [(-1, 0, "seed"), (3, -2, "stream_id")])
+    def test_negative_address_is_refused_by_name(self, seed, stream_id, name):
+        with pytest.raises(ValueError, match=name):
+            RngStream(seed, stream_id)
+
     def test_moments_at_a_million_draws(self):
         rng = RngStream(7, 0)
         draws = rng.generator.normal(0.0, math.sqrt(0.5), 10 ** 6)
