@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .numerics import _integral
+
 __all__ = [
     "PrfChannel",
     "CongruenceSystem",
@@ -51,8 +53,8 @@ class PrfChannel:
     num_subpulses: int = 1
 
     def __post_init__(self):
-        if self.prf <= 0:
-            raise ValueError("prf must be positive")
+        if not (math.isfinite(self.prf) and self.prf > 0):
+            raise ValueError(f"prf must be finite and positive, got {self.prf!r}")
         for name in ("num_pulses", "num_subpulses"):
             v = _integral(getattr(self, name), name)
             if v < 1:
@@ -93,16 +95,6 @@ class UnfoldResult:
     velocity_mps: float
     sign_resolved: bool
     coarse_hz: float
-
-
-def _integral(value, name: str) -> int:
-    """`value` as an int; a ValueError naming `name` unless it is integral."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def modular_inverse(a: int, m: int) -> int:

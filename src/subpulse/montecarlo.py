@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection_stats import ChannelStats
-from .numerics import RngStream
+from .numerics import RngStream, _integral
 
 __all__ = [
     "McConfig",
@@ -58,7 +58,7 @@ class McConfig:
     batch_size: int = _DEFAULT_BATCH
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integral(self.seed, "seed"))
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "batch_size", int(self.batch_size))
         if self.seed < 0:

@@ -60,6 +60,16 @@ class QuadSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
+def _integral(value, name: str) -> int:
+    """`value` as an int; a ValueError naming `name` unless it is integral."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class RngStream:
     """Deterministic random stream addressed by (seed, stream_id).
 
@@ -69,8 +79,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _integral(seed, "seed")
+        self.stream_id = _integral(stream_id, "stream_id")
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")

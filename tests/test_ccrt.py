@@ -265,3 +265,8 @@ class TestChannelValidation:
             PrfChannel(prf=1000.0, num_pulses=0)
         with pytest.raises(ValueError):
             PrfChannel(prf=-5.0, num_pulses=3)
+
+    @pytest.mark.parametrize("prf", [math.nan, math.inf])
+    def test_non_finite_prf_is_refused_by_name(self, prf):
+        with pytest.raises(ValueError, match="prf must be finite"):
+            PrfChannel(prf=prf, num_pulses=5)

@@ -193,3 +193,5 @@ class TestEstimate:
             McConfig(stats=reference_stats(), seed=0, trials=10, batch_size=0)
         with pytest.raises(ValueError, match="seed"):
             McConfig(stats=reference_stats(), seed=-3)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            McConfig(stats=reference_stats(), seed=2.5)

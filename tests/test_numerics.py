@@ -139,6 +139,16 @@ class TestRngAndGaussian:
         with pytest.raises(ValueError, match=name):
             RngStream(seed, stream_id)
 
+    @pytest.mark.parametrize("seed, stream_id, name", [
+        (2.7, 0, "seed"),
+        (math.nan, 0, "seed"),
+        (3, 1.5, "stream_id"),
+        (3, math.inf, "stream_id"),
+    ])
+    def test_non_integral_address_is_refused_by_name(self, seed, stream_id, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            RngStream(seed, stream_id)
+
     def test_moments_at_a_million_draws(self):
         rng = RngStream(7, 0)
         draws = rng.generator.normal(0.0, math.sqrt(0.5), 10 ** 6)

@@ -17,6 +17,7 @@ from subpulse import (
     RngStream,
     TargetTruth,
     SPEED_OF_LIGHT,
+    Datacube,
     build_datacube,
     compress_pp,
     compress_sp,
@@ -78,6 +79,14 @@ class TestWaveform:
             RadarSetup.build(6e9, 25e-6, 2e6, ch, sample_rate_hz=3e6)  # under Nyquist
         with pytest.raises(ValueError):
             RadarSetup.build(6e9, 2e-3, 2e6, ch)  # PRI shorter than the pulse
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["carrier_hz", "pulse_width_s", "bandwidth_hz", "sample_rate_hz"])
+    def test_non_finite_field_is_refused_by_name(self, field, value):
+        fields = {"carrier_hz": 6e9, "pulse_width_s": 25e-6, "bandwidth_hz": 2e6, "sample_rate_hz": None}
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RadarSetup.build(channels=[PrfChannel(prf=1000.0, num_pulses=4)], **fields)
 
 
 class TestSplit:
@@ -214,7 +223,41 @@ class TestCompression:
         assert sub / full == pytest.approx(model, rel=0.2)
 
 
+def fft_reference_maps(cube):
+    """|fft2| over (pulse, segment): the transform doppler_maps computes."""
+    return np.abs(np.fft.fft2(np.moveaxis(cube.data, 0, 2), axes=(0, 1)))
+
+
 class TestMaps:
+    @pytest.mark.parametrize("pulses, segments", [(1, 1), (1, 8), (11, 8), (31, 32), (64, 8)])
+    def test_matches_the_fft_on_random_cubes(self, pulses, segments):
+        rng = np.random.default_rng(pulses * 100 + segments)
+        channel = PrfChannel(prf=1000.0, num_pulses=pulses, num_subpulses=segments)
+        shape = (pulses, segments, 97)
+        profiles = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # the pipeline's transposed layout and a caller's contiguous one
+        for cube in (
+            build_datacube(profiles, channel),
+            Datacube(channel, np.ascontiguousarray(profiles.transpose(2, 0, 1))),
+        ):
+            dmap = doppler_maps(cube)
+            reference = fft_reference_maps(cube)
+            assert dmap.sp.shape == reference.shape
+            assert np.abs(dmap.sp - reference).max() <= 1e-12 * reference.max()
+            np.testing.assert_array_equal(dmap.pp, dmap.sp[:, 0, :])
+
+    def test_noisy_scene_peaks_match_the_fft_route(self, setup):
+        rng = np.random.default_rng(2024)
+        for seed in range(20):
+            truth = TargetTruth(float(rng.uniform(2e3, 70e3)), float(rng.uniform(-3800.0, 3800.0)))
+            for i, channel in enumerate(setup.channels):
+                cube, dmap = simulate_channel(
+                    setup, channel, truth, rng=RngStream(seed, i), noise_sigma=0.05
+                )
+                reference = fft_reference_maps(cube)
+                assert np.argmax(dmap.sp) == np.argmax(reference)
+                assert np.argmax(dmap.pp) == np.argmax(reference[:, 0, :])
+
     def test_on_lattice_tone_peaks_at_folded_bin_and_range(self, setup):
         channel = setup.channels[0]
         v = -40 * 100.0 * setup.wavelength_m / 2.0  # bin -40 on the shared lattice
