@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 from .numerics import (
     ConvergenceError,
-    QuadSpec,
     RngStream,
     bessel_i0_log,
     integrate_semi_infinite,
@@ -43,7 +42,6 @@ from .detection_stats import (
     ChannelStats,
     FusionRule,
     NumericalDomainError,
-    bivariate_rician_pdf,
     combine_m_of_l,
     from_snr,
     pd_closed_form,
@@ -72,7 +70,6 @@ from .radar_sim import (
     compress_sp,
     detect_and_unfold,
     doppler_maps,
-    export_datacube,
     export_maps,
     make_lfm,
     run_pipeline,

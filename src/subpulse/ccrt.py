@@ -201,13 +201,13 @@ def velocity_to_doppler(v: float, wavelength: float) -> float:
     return 2.0 * v / wavelength
 
 
-def common_bin_spacing(channels: Sequence[PrfChannel], rel_tol: float = 1e-9) -> float:
+def common_bin_spacing(channels: Sequence[PrfChannel]) -> float:
     """The shared bin spacing of a channel set; raises if they differ."""
     if not channels:
         raise ValueError("channel list must be non-empty")
     spacing = channels[0].bin_spacing
     for ch in channels[1:]:
-        if abs(ch.bin_spacing - spacing) > rel_tol * spacing:
+        if abs(ch.bin_spacing - spacing) > 1e-9 * spacing:
             raise ValueError(
                 "channels do not share a common bin spacing: "
                 f"{spacing} Hz vs {ch.bin_spacing} Hz; exact congruence "

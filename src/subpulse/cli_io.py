@@ -694,7 +694,7 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.trials is not None or args.batch_size is not None:
-        mc = dict(raw.get("mc", {}))
+        mc = dict(_need(raw, "mc", dict, default={}))
         if args.trials is not None:
             mc["trials"] = args.trials
         if args.batch_size is not None:
@@ -708,7 +708,7 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     for attr, key in target_keys:
         value = getattr(args, attr, None)
         if value is not None:
-            target = dict(raw.get("target", {}))
+            target = dict(_need(raw, "target", dict, default={}))
             target[key] = value
             raw["target"] = target
     if getattr(args, "tolerance_hz", None) is not None:

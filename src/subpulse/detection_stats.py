@@ -9,8 +9,7 @@ maps, and raises a false alarm when it loses in both. This module provides
   * closed-form detection / false-alarm probabilities (alternating double
     binomial sums over the competitor counts),
   * slower quadrature oracles that evaluate the same probabilities directly
-    from the conditional representation (used to validate the closed forms),
-  * the joint pdf of the envelope pair, and
+    from the conditional representation (used to validate the closed forms), and
   * M-of-L fusion of per-channel probabilities.
 
 All probabilities depend on (sigma1, sigma2, m_re, m_im) only through scale
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .numerics import QuadSpec, bessel_i0_log, integrate_semi_infinite
+from .numerics import _integral, bessel_i0_log, integrate_semi_infinite
 
 __all__ = [
     "ChannelStats",
@@ -37,7 +36,6 @@ __all__ = [
     "pfa_closed_form",
     "pd_oracle",
     "pfa_oracle",
-    "bivariate_rician_pdf",
     "combine_m_of_l",
 ]
 
@@ -70,10 +68,10 @@ class ChannelStats:
 
     def __post_init__(self):
         for name in ("M", "N"):
-            value = getattr(self, name)
-            if value != int(value) or int(value) < 1:
+            value = _integral(getattr(self, name), name)
+            if value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         for name in ("sigma1", "sigma2"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -118,10 +116,7 @@ class FusionRule:
 
     def __post_init__(self):
         for name in ("required", "total"):
-            value = getattr(self, name)
-            if value != int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integral(getattr(self, name), name))
         if not 1 <= self.required <= self.total:
             raise ValueError(
                 f"required must lie in 1..total, got required={self.required} "
@@ -149,10 +144,12 @@ def from_snr(
     snr_scale = 2 / lambda1**2 and drives m roughly an order of magnitude
     harder at the same axis value (pass it explicitly to get that behaviour).
     """
+    M = _integral(M, "M")
+    N = _integral(N, "N")
     if snr_scale <= 0:
         raise ValueError(f"snr_scale must be positive, got {snr_scale!r}")
     snr_linear = 10.0 ** (float(snr1_db) / 10.0)
-    m = snr_scale * int(M) * snr_linear
+    m = snr_scale * M * snr_linear
     return ChannelStats(
         sigma1=math.sqrt(M),
         sigma2=math.sqrt(N),
@@ -281,7 +278,7 @@ def _conditional_win(count: int, sigma: float, omega_sq: float, lam: float):
     return win
 
 
-def pd_oracle(stats: ChannelStats, spec: QuadSpec = None) -> float:
+def pd_oracle(stats: ChannelStats) -> float:
     """Quadrature evaluation of pd_closed_form from first principles.
 
     Conditions on the shared scatterer power t: given t the two envelopes are
@@ -296,12 +293,10 @@ def pd_oracle(stats: ChannelStats, spec: QuadSpec = None) -> float:
     def integrand(t):
         return math.exp(_log_shared_density(t, m)) * win1(t) * win2(t)
 
-    return integrate_semi_infinite(
-        integrand, spec=spec or QuadSpec(), breakpoints=_density_breakpoints(m)
-    )
+    return integrate_semi_infinite(integrand, breakpoints=_density_breakpoints(m))
 
 
-def pfa_oracle(stats: ChannelStats, spec: QuadSpec = None) -> float:
+def pfa_oracle(stats: ChannelStats) -> float:
     """Quadrature evaluation of pfa_closed_form (lose-in-both-maps mass)."""
     win1 = _conditional_win(stats.M - 1, stats.sigma1, stats.omega1_sq, stats.lambda1)
     win2 = _conditional_win(stats.N - 1, stats.sigma2, stats.omega2_sq, stats.lambda2)
@@ -310,47 +305,7 @@ def pfa_oracle(stats: ChannelStats, spec: QuadSpec = None) -> float:
     def integrand(t):
         return math.exp(_log_shared_density(t, m)) * (1.0 - win1(t)) * (1.0 - win2(t))
 
-    return integrate_semi_infinite(
-        integrand, spec=spec or QuadSpec(), breakpoints=_density_breakpoints(m)
-    )
-
-
-def bivariate_rician_pdf(r1: float, r2: float, stats: ChannelStats, spec: QuadSpec = None) -> float:
-    """Joint pdf of the correlated envelope pair at (r1, r2).
-
-    Averages the product of the two conditional Rician densities over the
-    shared-power density. Marginalising over either argument recovers a
-    univariate Rician (noncentrality sigma_p*lambda_p*sqrt(m), total
-    per-component variance sigma_p^2/2).
-    """
-    if r1 < 0 or r2 < 0:
-        raise ValueError("envelope amplitudes must be non-negative")
-    if r1 == 0.0 or r2 == 0.0:
-        return 0.0
-    m = stats.m
-    branches = (
-        (float(r1), stats.sigma1 * stats.lambda1, stats.omega1_sq),
-        (float(r2), stats.sigma2 * stats.lambda2, stats.omega2_sq),
-    )
-
-    def integrand(t):
-        log_val = _log_shared_density(t, m)
-        for r, gain, omega_sq in branches:
-            nc = gain * math.sqrt(t)  # conditional noncentrality
-            log_val += (
-                math.log(r / omega_sq)
-                - (r * r + nc * nc) / (2.0 * omega_sq)
-                + bessel_i0_log(r * nc / omega_sq)
-            )
-        return math.exp(log_val)
-
-    # the conditional factors peak near t where the noncentrality matches r
-    peaks = [(r / gain) ** 2 for r, gain, _ in branches]
-    return integrate_semi_infinite(
-        integrand,
-        spec=spec or QuadSpec(),
-        breakpoints=tuple(peaks) + _density_breakpoints(m),
-    )
+    return integrate_semi_infinite(integrand, breakpoints=_density_breakpoints(m))
 
 
 def combine_m_of_l(per_channel: Sequence, rule: FusionRule) -> float:

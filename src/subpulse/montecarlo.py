@@ -59,8 +59,8 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _integral(self.seed, "seed"))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "batch_size", int(self.batch_size))
+        object.__setattr__(self, "trials", _integral(self.trials, "trials"))
+        object.__setattr__(self, "batch_size", _integral(self.batch_size, "batch_size"))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.trials < 1:

@@ -9,8 +9,6 @@ directly where no such contract is needed.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +17,6 @@ from scipy import signal as _signal
 from scipy import special as _special
 
 __all__ = [
-    "QuadSpec",
     "RngStream",
     "ConvergenceError",
     "bessel_i0_log",
@@ -30,6 +27,11 @@ __all__ = [
 # matched_filter correlates directly below this replica length; above it the
 # FFT route takes over.
 _DIRECT_LENGTH_LIMIT = 64
+
+# integrate_semi_infinite tolerances and its QUADPACK subdivision limit per segment
+_QUAD_REL_TOL = 1e-10
+_QUAD_ABS_TOL = 1e-12
+_QUAD_SUBDIVISIONS = 200
 
 
 class ConvergenceError(ArithmeticError):
@@ -43,21 +45,6 @@ class ConvergenceError(ArithmeticError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tolerances for the semi-infinite quadrature routine."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("QuadSpec tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 def _integral(value, name: str) -> int:
@@ -109,7 +96,6 @@ def bessel_i0_log(x: float) -> float:
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
-    spec: QuadSpec = QuadSpec(),
     breakpoints: Sequence[float] = (),
 ) -> float:
     """Integrate f over [0, inf).
@@ -120,7 +106,7 @@ def integrate_semi_infinite(
     inputs.
 
     Raises ConvergenceError (carrying the best estimate and its error bound)
-    when the requested tolerance cannot be certified.
+    when the tolerance (relative 1e-10, absolute 1e-12) cannot be certified.
     """
     pts = sorted({float(p) for p in breakpoints if p > 0 and math.isfinite(p)})
     edges = [0.0] + pts
@@ -128,30 +114,21 @@ def integrate_semi_infinite(
     total = 0.0
     err = 0.0
     exhausted = False
-    with np.errstate(over="ignore", under="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("error", _integrate.IntegrationWarning)
+    with np.errstate(over="ignore", under="ignore"):
         for a, b in segments:
-            try:
-                v, e = _integrate.quad(
-                    f, a, b,
-                    epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                    limit=spec.max_subdivisions,
-                )
-            except _integrate.IntegrationWarning:
-                # Re-run tolerantly to recover the best estimate for the error.
-                warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-                v, e = _integrate.quad(
-                    f, a, b,
-                    epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                    limit=spec.max_subdivisions,
-                )
-                warnings.simplefilter("error", _integrate.IntegrationWarning)
-                exhausted = True
+            # full_output appends QUADPACK's message exactly when quad would
+            # have warned (ier 1-5, 7); ier 6, bad input, still raises
+            v, e, _, *message = _integrate.quad(
+                f, a, b,
+                epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL,
+                limit=_QUAD_SUBDIVISIONS, full_output=1,
+            )
+            exhausted = exhausted or bool(message)
             total += v
             err += e
     if not math.isfinite(total):
         raise ConvergenceError("integral estimate is not finite", total, err)
-    if exhausted or err > max(spec.abs_tol, spec.rel_tol * abs(total)) * 10.0:
+    if exhausted or err > max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(total)) * 10.0:
         raise ConvergenceError(
             f"quadrature error bound {err:.3e} exceeds tolerance for estimate {total:.6e}",
             total, err,

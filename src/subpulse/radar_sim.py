@@ -54,7 +54,6 @@ __all__ = [
     "detect_and_unfold",
     "simulate_channel",
     "run_pipeline",
-    "export_datacube",
     "export_maps",
 ]
 
@@ -496,17 +495,13 @@ def run_pipeline(
 
 
 def _export_float32(path, array, axis_names, meta: dict = None) -> Path:
-    """Write an array as little-endian float32 plus a JSON sidecar.
+    """Write a real array as little-endian float32 plus a JSON sidecar.
 
-    Complex input gains a trailing length-2 component axis (real, imag).
     The sidecar (at path + '.json') records dtype, shape, axis names, and
     row-major ordering so the grid can be reloaded without guessing.
     """
     arr = np.asarray(array)
     names = list(axis_names)
-    if np.iscomplexobj(arr):
-        arr = np.stack([arr.real, arr.imag], axis=-1)
-        names.append("component")
     if arr.ndim != len(names):
         raise ValueError(f"{arr.ndim}-D grid needs {arr.ndim} axis names, got {names}")
     out = Path(path)
@@ -521,15 +516,6 @@ def _export_float32(path, array, axis_names, meta: dict = None) -> Path:
         sidecar.update(meta)
     Path(str(out) + ".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return out
-
-
-def export_datacube(cube: Datacube, path) -> Path:
-    return _export_float32(
-        path,
-        cube.data,
-        ("range", "pulse", "subpulse"),
-        meta={"prf_hz": cube.channel.prf},
-    )
 
 
 def export_maps(dmap: DopplerMap, path_base) -> tuple:

@@ -314,3 +314,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("command, make, overrides, flags", [
+        ("mc", sweep_config, {"mc": 5}, ["--trials", "100"]),
+        ("mc", sweep_config, {"mc": 5}, ["--batch-size", "100"]),
+        ("simulate", radar_config, {"target": "far"}, ["--velocity-mps", "-500"]),
+        ("simulate", radar_config, {"target": "far"}, ["--range-m", "9000"]),
+    ], ids=["mc-trials-flag", "mc-batch-flag", "target-velocity-flag", "target-range-flag"])
+    def test_flag_into_a_non_object_section_is_named(
+        self, tmp_path, capsys, command, make, overrides, flags
+    ):
+        config = make(tmp_path, "bad.csv", **overrides)
+        assert main([command, config, *flags]) == 2
+        err = capsys.readouterr().err
+        section = next(iter(overrides))
+        assert err.startswith("config error:") and f"field '{section}' must be dict" in err
+        assert not (tmp_path / "bad.csv").exists()

@@ -2,9 +2,8 @@
 external oracles.
 
 Reference values below were frozen from independent routes before being
-asserted here: the quadrature oracle for the closed forms, scipy's Rician
-density for the marginal, and a 10^7-trial simulation for the zero-mean
-corner.
+asserted here: the quadrature oracle for the closed forms, and a
+10^7-trial simulation for the zero-mean corner.
 """
 
 import math
@@ -13,15 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import rice
 
 from subpulse import (
     ChannelStats,
     FusionRule,
-    bivariate_rician_pdf,
     combine_m_of_l,
     from_snr,
-    integrate_semi_infinite,
     pd_closed_form,
     pd_oracle,
     pfa_closed_form,
@@ -90,6 +86,20 @@ class TestFromSnr:
         assert s.m_im == 0.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
+@pytest.mark.parametrize("build, field", [
+    (lambda v: ChannelStats(1.0, 1.0, 0.5, 0.5, 0.0, 0.0, v, 2), "M"),
+    (lambda v: ChannelStats(1.0, 1.0, 0.5, 0.5, 0.0, 0.0, 2, v), "N"),
+    (lambda v: from_snr(10.0, 0.5, 0.99, v, 8), "M"),
+    (lambda v: from_snr(10.0, 0.5, 0.99, 7, v), "N"),
+    (lambda v: FusionRule(required=v, total=2), "required"),
+    (lambda v: FusionRule(required=1, total=v), "total"),
+], ids=["stats-M", "stats-N", "from_snr-M", "from_snr-N", "fusion-required", "fusion-total"])
+def test_non_integral_count_is_refused_by_name(build, field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        build(value)
+
+
 class TestClosedForms:
     def test_single_bin_layout_always_detects(self):
         for m_re in (0.0, 1.0, 30.0):
@@ -142,36 +152,6 @@ class TestOracles:
         assert abs(pfa_closed_form(s) - pfa_hat) <= 3 * pfa_se
         assert abs(pd_oracle(s) - pd_hat) <= 3 * pd_se
         assert abs(pfa_oracle(s) - pfa_hat) <= 3 * pfa_se
-
-
-class TestBivariatePdf:
-    def test_zero_amplitude_gives_zero_density(self):
-        s = stats_m0_2x2()
-        assert bivariate_rician_pdf(0.0, 0.0, s) == 0.0
-        assert bivariate_rician_pdf(0.0, 1.0, s) == 0.0
-
-    def test_normalizes_over_the_positive_quadrant(self):
-        s = ChannelStats(1.0, 1.0, 0.5, 0.99, 2.0, 0.0, 2, 2)  # m = 4
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        total = 0.0
-        hi1 = s.sigma1 * (2.0 * s.lambda1 + 9.0)
-        hi2 = s.sigma2 * (2.0 * s.lambda2 + 9.0)
-        r1 = 0.5 * hi1 * (nodes + 1)
-        w1 = 0.5 * hi1 * weights
-        r2 = 0.5 * hi2 * (nodes + 1)
-        w2 = 0.5 * hi2 * weights
-        for a, wa in zip(r1, w1):
-            row = sum(wb * bivariate_rician_pdf(a, b, s) for b, wb in zip(r2, w2))
-            total += wa * row
-        assert total == pytest.approx(1.0, abs=1e-4)
-
-    def test_marginal_is_the_univariate_rician(self):
-        s = ChannelStats(1.3, 0.9, 0.5, 0.99, 1.2, 1.6, 3, 4)
-        nu = s.sigma1 * s.lambda1 * math.sqrt(s.m)
-        scale = s.sigma1 / math.sqrt(2.0)
-        for r1 in (0.3, 0.9, 1.7, 2.8):
-            marginal = integrate_semi_infinite(lambda r2: bivariate_rician_pdf(r1, r2, s))
-            assert marginal == pytest.approx(rice.pdf(r1, nu / scale, scale=scale), abs=1e-6)
 
 
 class TestFusion:

@@ -195,3 +195,9 @@ class TestEstimate:
             McConfig(stats=reference_stats(), seed=-3)
         with pytest.raises(ValueError, match="seed must be an integer"):
             McConfig(stats=reference_stats(), seed=2.5)
+
+    @pytest.mark.parametrize("field", ["trials", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 1000.9, math.nan, math.inf])
+    def test_non_integral_count_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            McConfig(stats=reference_stats(), seed=1, **{field: value})

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import i0, i0e
 
 from subpulse import (
     ConvergenceError,
-    QuadSpec,
     RngStream,
     bessel_i0_log,
     integrate_semi_infinite,
@@ -69,12 +69,22 @@ class TestSemiInfiniteQuadrature:
         assert hinted == pytest.approx(plain, rel=1e-10)
 
     def test_convergence_failure_carries_estimate_and_bound(self):
-        spec = QuadSpec(rel_tol=1e-16, abs_tol=1e-300, max_subdivisions=2)
         with pytest.raises(ConvergenceError) as info:
-            integrate_semi_infinite(lambda t: math.exp(-t) * math.sin(40.0 * t), spec=spec)
+            integrate_semi_infinite(lambda t: math.exp(-t) * math.sin(4000.0 * t))
         err = info.value
         assert math.isfinite(err.estimate)
         assert err.error_bound > 0.0
+
+    def test_convergence_failure_carries_quadpacks_own_estimate(self):
+        # one segment, so the error must hold QUADPACK's figures unchanged
+        f = lambda t: math.exp(-t) * math.sin(4000.0 * t)
+        value, bound, _, message = integrate.quad(
+            f, 0.0, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200, full_output=1
+        )
+        with pytest.raises(ConvergenceError) as info:
+            integrate_semi_infinite(f)
+        assert message
+        assert (info.value.estimate, info.value.error_bound) == (value, bound)
 
 
 class TestMatchedFilter:

@@ -23,7 +23,6 @@ from subpulse import (
     compress_sp,
     detect_and_unfold,
     doppler_maps,
-    export_datacube,
     export_maps,
     fold_bin,
     make_lfm,
@@ -372,16 +371,6 @@ class TestDetection:
 
 
 class TestExport:
-    def test_datacube_round_trips_through_float32(self, setup, tmp_path):
-        cube, dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -900.0))
-        path = export_datacube(cube, tmp_path / "cube.f32")
-        sidecar = json.loads((tmp_path / "cube.f32.json").read_text())
-        raw = np.fromfile(path, dtype="<f4").reshape(sidecar["shape"])
-        assert sidecar["dtype"] == "<f4"
-        assert sidecar["axes"][-1] == "component"
-        restored = raw[..., 0] + 1j * raw[..., 1]
-        np.testing.assert_allclose(restored, cube.data, rtol=1e-6, atol=1e-4)
-
     def test_map_export_writes_both_grids(self, setup, tmp_path):
         _, dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -300.0))
         pp_path, sp_path = export_maps(dmap, tmp_path / "maps")
