@@ -21,14 +21,12 @@ from .numerics import (
     matched_filter,
 )
 from .ccrt import (
-    CongruenceSystem,
     NotInvertibleError,
     OutOfWindowError,
     PrfChannel,
     UnfoldResult,
     apparent_bin,
     ccrt_solve,
-    ccrt_solve_array,
     common_bin_spacing,
     doppler_to_velocity,
     fold_bin,

@@ -20,13 +20,11 @@ from .numerics import _integral
 
 __all__ = [
     "PrfChannel",
-    "CongruenceSystem",
     "UnfoldResult",
     "NotInvertibleError",
     "OutOfWindowError",
     "modular_inverse",
     "ccrt_solve",
-    "ccrt_solve_array",
     "apparent_bin",
     "fold_bin",
     "doppler_to_velocity",
@@ -67,28 +65,6 @@ class PrfChannel:
 
 
 @dataclass(frozen=True)
-class CongruenceSystem:
-    """Simultaneous congruences b = residues[i] (mod moduli[i])."""
-
-    moduli: tuple[int, ...]
-    residues: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(_integral(m, "modulus") for m in self.moduli))
-        object.__setattr__(self, "residues", tuple(_integral(r, "residue") for r in self.residues))
-        if len(self.moduli) != len(self.residues) or not self.moduli:
-            raise ValueError("moduli and residues must be non-empty and equal length")
-        _check_moduli(self.moduli)
-        for m, r in zip(self.moduli, self.residues):
-            if not 0 <= r < m:
-                raise ValueError(f"residue {r} out of range for modulus {m}")
-
-    @property
-    def theta(self) -> int:
-        return math.prod(self.moduli)
-
-
-@dataclass(frozen=True)
 class UnfoldResult:
     bin: int
     doppler_hz: float
@@ -125,41 +101,35 @@ def _basis(moduli: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(modular_inverse(theta // m, m) * (theta // m) for m in moduli)
 
 
-def ccrt_solve(sys: CongruenceSystem) -> int:
-    """Unique b in [0, Theta) satisfying every congruence of the system.
+def ccrt_solve(moduli: Sequence[int], residues):
+    """Unique bin b in [0, Theta) with b = r_i (mod M_i) for every modulus.
 
-    b = (sum_i residues[i] * beta_i) mod Theta with beta_i = b_i * Theta/M_i
-    and b_i the modular inverse of Theta/M_i modulo M_i.
-    """
-    basis = _basis(sys.moduli)
-    return sum(r * beta for r, beta in zip(sys.residues, basis)) % sys.theta
-
-
-def ccrt_solve_array(moduli: Sequence[int], residues) -> np.ndarray:
-    """:func:`ccrt_solve` for many residue tuples over one moduli tuple.
-
-    `residues` is an integer array whose last axis holds one residue per
-    modulus; the result holds one bin per tuple, (R @ beta) mod Theta. It
-    is int64 while sum_i (M_i - 1) * beta_i < 2**63, else an object array
-    of Python ints.
+    b = (sum_i r_i * beta_i) mod Theta with beta_i = b_i * Theta/M_i and b_i
+    the modular inverse of Theta/M_i modulo M_i. `residues` holds one
+    residue per modulus, giving an int, or is an array of such tuples along
+    its last axis, giving one bin per tuple as (R @ beta) mod Theta: int64
+    while sum_i (M_i - 1) * beta_i < 2**63, else Python ints in an object
+    array. A non-integral residue is refused by name.
     """
     moduli = tuple(_integral(m, "modulus") for m in moduli)
     if not moduli:
         raise ValueError("moduli must be non-empty")
     basis = _basis(moduli)
     r = np.asarray(residues)
-    if r.dtype.kind not in "iuO":
-        raise TypeError(f"residues must be integers, got dtype {r.dtype}")
-    if r.dtype.kind == "O":
-        r = np.array([_integral(x, "residue") for x in r.flat], dtype=object).reshape(r.shape)
+    if r.dtype.kind not in "iu":
+        r = np.array(
+            [_integral(x, "residue") for x in r.ravel().tolist()], dtype=object
+        ).reshape(r.shape)
     if r.shape[-1:] != (len(moduli),):
         raise ValueError(f"residues need a last axis of {len(moduli)}, got shape {r.shape}")
     if np.any(r < 0) or np.any(r >= np.array(moduli)):
         raise ValueError(f"residues out of range for moduli {moduli}")
     theta = math.prod(moduli)
     if sum((m - 1) * beta for m, beta in zip(moduli, basis)) < 2 ** 63:
-        return (r.astype(np.int64) @ np.array(basis, dtype=np.int64)) % theta
-    return (r.astype(object) @ np.array(basis, dtype=object)) % theta
+        bins = (r.astype(np.int64) @ np.array(basis, dtype=np.int64)) % theta
+    else:
+        bins = (r.astype(object) @ np.array(basis, dtype=object)) % theta
+    return int(bins) if r.ndim == 1 else bins
 
 
 def apparent_bin(f_ap: float, channel: PrfChannel) -> int:
@@ -216,33 +186,22 @@ def common_bin_spacing(channels: Sequence[PrfChannel]) -> float:
     return spacing
 
 
-def unfold(
-    residues: Sequence[int],
-    channels: Sequence[PrfChannel],
+def _nearest_lattice(
+    b: int,
+    spacing: float,
+    theta: int,
     coarse_hz: float,
-    fmax_hz: float | None = None,
-    wavelength_m: float | None = None,
+    fmax_hz: float | None,
+    wavelength_m: float | None,
 ) -> UnfoldResult:
-    """Recover the true Doppler frequency from per-channel folded bins.
+    """The lattice frequency (b + q*Theta) * spacing nearest the coarse estimate.
 
-    Solves the congruence system for the true bin b in [0, Theta), then picks
-    the lattice frequency (b + q*Theta) * spacing (integer q, magnitude
-    bounded by fmax_hz) closest to the coarse estimate. fmax_hz defaults to
-    half the full unfolded span Theta*spacing/2. Velocity is reported when a
-    wavelength is supplied, else NaN.
+    q ranges over the integers with |frequency| <= fmax_hz (default half the
+    span Theta*spacing). Among equally near candidates the higher frequency
+    wins, and the result is then not sign-resolved.
     """
-    if len(residues) != len(channels):
-        raise ValueError("one residue per channel required")
-    spacing = common_bin_spacing(channels)
-    sys = CongruenceSystem(
-        moduli=tuple(ch.num_pulses for ch in channels),
-        residues=tuple(int(r) for r in residues),
-    )
-    b = ccrt_solve(sys)
-    theta = sys.theta
     span = theta * spacing
     fmax = span / 2.0 if fmax_hz is None else float(fmax_hz)
-
     base = b * spacing
     q_lo = math.ceil((-fmax - base) / span)
     q_hi = math.floor((fmax - base) / span)
@@ -264,6 +223,29 @@ def unfold(
     )
 
 
+def unfold(
+    residues: Sequence[int],
+    channels: Sequence[PrfChannel],
+    coarse_hz: float,
+    fmax_hz: float | None = None,
+    wavelength_m: float | None = None,
+) -> UnfoldResult:
+    """Recover the true Doppler frequency from per-channel folded bins.
+
+    Solves the congruence system for the true bin b in [0, Theta), then picks
+    the lattice frequency (b + q*Theta) * spacing (integer q, magnitude
+    bounded by fmax_hz) closest to the coarse estimate. fmax_hz defaults to
+    half the full unfolded span Theta*spacing/2. Velocity is reported when a
+    wavelength is supplied, else NaN.
+    """
+    if len(residues) != len(channels):
+        raise ValueError("one residue per channel required")
+    spacing = common_bin_spacing(channels)
+    moduli = tuple(ch.num_pulses for ch in channels)
+    b = ccrt_solve(moduli, residues)
+    return _nearest_lattice(b, spacing, math.prod(moduli), coarse_hz, fmax_hz, wavelength_m)
+
+
 def unfold_tolerant(
     residues: Sequence[int],
     channels: Sequence[PrfChannel],
@@ -275,27 +257,27 @@ def unfold_tolerant(
 
     Channel spacings are averaged instead of required identical, and every
     per-channel residue perturbation within +-1 bin is tried; the solution
-    whose unfolded frequency lands closest to the coarse estimate wins. Use
-    this only when the configuration cannot guarantee one exact shared bin
-    spacing; the exact :func:`unfold` is the reference behavior.
+    whose unfolded frequency lands closest to the coarse estimate wins (the
+    first in (-1, 0, 1)-product order among equals). Use this only when the
+    configuration cannot guarantee one exact shared bin spacing; the exact
+    :func:`unfold` is the reference behavior.
     """
     if len(residues) != len(channels):
         raise ValueError("one residue per channel required")
     mean_spacing = sum(ch.bin_spacing for ch in channels) / len(channels)
-    snapped = [
-        PrfChannel(prf=mean_spacing * ch.num_pulses,
-                   num_pulses=ch.num_pulses,
-                   num_subpulses=ch.num_subpulses)
-        for ch in channels
-    ]
+    moduli = tuple(ch.num_pulses for ch in channels)
+    # mean_spacing as a channel of prf mean_spacing * M_0 reports it: the
+    # round trip through the prf can move the last bit, and the unfolded
+    # frequencies are built on the rounded value
+    spacing = PrfChannel(prf=mean_spacing * moduli[0], num_pulses=moduli[0]).bin_spacing
+    measured = np.array([_integral(r, "residue") for r in residues])
+    deltas = np.array(list(itertools.product((-1, 0, 1), repeat=len(moduli))))
+    bins = ccrt_solve(moduli, (measured + deltas) % np.array(moduli))
+    theta = math.prod(moduli)
     best: UnfoldResult | None = None
-    for deltas in itertools.product((-1, 0, 1), repeat=len(residues)):
-        shifted = [
-            (int(r) + d) % ch.num_pulses
-            for r, d, ch in zip(residues, deltas, snapped)
-        ]
+    for b in bins.tolist():
         try:
-            res = unfold(shifted, snapped, coarse_hz, fmax_hz, wavelength_m)
+            res = _nearest_lattice(b, spacing, theta, coarse_hz, fmax_hz, wavelength_m)
         except OutOfWindowError:
             continue
         if best is None or abs(res.doppler_hz - coarse_hz) < abs(best.doppler_hz - coarse_hz):

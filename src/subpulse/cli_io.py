@@ -25,8 +25,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 import scipy
 
-from .ccrt import PrfChannel, ccrt_solve_array, common_bin_spacing
-from .ccrt import ccrt_solve  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .ccrt import PrfChannel, ccrt_solve, common_bin_spacing
 from .detection_stats import (
     SNR_SCALE_DEFAULT,
     FusionRule,
@@ -130,6 +129,7 @@ class RunResult:
     csv_path: Optional[Path]
     manifest_path: Path
     failures: tuple[str, ...]
+    error: Optional[dict]  # {"type", "message"} of an exception the run raised
 
 
 def _parse_json(path) -> dict:
@@ -504,7 +504,7 @@ def _rows_ccrt_check(config: ExperimentConfig, failures: list):
     passed = 0
     for start in range(0, theta, _CCRT_BLOCK):
         bins = np.arange(start, min(start + _CCRT_BLOCK, theta))
-        solved = ccrt_solve_array(moduli, bins[:, None] % column)
+        solved = ccrt_solve(moduli, bins[:, None] % column)
         passed += int(np.count_nonzero(solved == bins))
     if passed != theta:
         failures.append(f"ccrt round-trip failed for {theta - passed} of {theta} bins")
@@ -647,6 +647,7 @@ def run(config: ExperimentConfig) -> RunResult:
         csv_path=csv_path if error is None else None,
         manifest_path=manifest_path,
         failures=tuple(failures),
+        error=error,
     )
 
 
@@ -728,6 +729,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     result = run(config)
+    if result.error is not None:
+        print(f"run error: {result.error['type']}: {result.error['message']}", file=sys.stderr)
     for failure in result.failures:
         print(f"cross-check failed: {failure}", file=sys.stderr)
     if result.exit_code == 0:

@@ -12,8 +12,8 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import fft as _fft
 from scipy import integrate as _integrate
-from scipy import signal as _signal
 from scipy import special as _special
 
 __all__ = [
@@ -23,10 +23,6 @@ __all__ = [
     "integrate_semi_infinite",
     "matched_filter",
 ]
-
-# matched_filter correlates directly below this replica length; above it the
-# FFT route takes over.
-_DIRECT_LENGTH_LIMIT = 64
 
 # integrate_semi_infinite tolerances and its QUADPACK subdivision limit per segment
 _QUAD_REL_TOL = 1e-10
@@ -143,15 +139,32 @@ def _as_complex_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def matched_filter(rx: Sequence, replica: Sequence) -> np.ndarray:
+def matched_filter(rx, replica) -> np.ndarray:
     """Full-overlap cross-correlation y[k] = sum_n rx[k+n] conj(replica[n]).
 
-    Output has length len(rx) - len(replica) + 1. For rx equal to the replica
-    the single output value is the replica energy sum |replica|^2.
+    `rx` is one receive window of W samples or a stack of them, shape
+    (windows, W); `replica` is one replica of L <= W samples or a stack,
+    shape (replicas, L). The output has shape rx.shape[:-1] +
+    replica.shape[:-1] + (W - L + 1,). For rx equal to the replica the
+    single output value is the replica energy sum |replica|^2.
+
+    The correlation is computed by FFT at n = next_fast_len(W), the replica
+    spectra once and one window at a time; a valid lag never reaches past
+    the window, so the circular product does not wrap into the output.
     """
     rx_arr = _as_complex_array(rx, "rx")
     rep_arr = _as_complex_array(replica, "replica")
-    if rep_arr.size > rx_arr.size:
+    if rx_arr.ndim not in (1, 2) or rep_arr.ndim not in (1, 2):
+        raise ValueError("rx and replica must each be one sequence or a stack of them")
+    out_len = rx_arr.shape[-1] - rep_arr.shape[-1] + 1
+    if out_len < 1:
         raise ValueError("replica must not be longer than rx")
-    method = "direct" if rep_arr.size < _DIRECT_LENGTH_LIMIT else "fft"
-    return _signal.correlate(rx_arr, rep_arr, mode="valid", method=method)
+    nfft = _fft.next_fast_len(rx_arr.shape[-1])
+    replica_spectra = np.conj(_fft.fft(rep_arr, n=nfft))
+    windows = np.atleast_2d(rx_arr)
+    out = np.empty((len(windows),) + rep_arr.shape[:-1] + (out_len,), dtype=np.complex128)
+    # one window at a time: the full (window, replica, n) product would hold
+    # several times the output in memory at once
+    for row_out, spectrum in zip(out, _fft.fft(windows, n=nfft)):
+        row_out[:] = _fft.ifft(spectrum * replica_spectra)[..., :out_len]
+    return out if rx_arr.ndim == 2 else out[0]

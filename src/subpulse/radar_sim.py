@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .ccrt import (
     OutOfWindowError,
@@ -33,8 +32,7 @@ from .ccrt import (
     unfold_tolerant,
     velocity_to_doppler,
 )
-from .numerics import RngStream
-from .numerics import matched_filter  # noqa: F401  (perfbench/tracing.py wraps this name)
+from .numerics import RngStream, matched_filter
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -313,29 +311,16 @@ def compress_sp(rx_per_pulse, subpulse_replicas) -> np.ndarray:
     segments, range).
 
     Every segment is zero-padded into its slot of a replica-length kernel, so
-    the offset alignment is part of the kernel and one FFT correlation per
-    pulse serves all segments. A valid lag never reaches past the receive
-    window, so a transform of the window length does not wrap.
+    the offset alignment is part of the kernel and one matched_filter call
+    against the stack of kernels serves all segments.
     """
-    rx = np.asarray(rx_per_pulse)
     segments = [np.asarray(s) for s in subpulse_replicas]
     if not segments or min(seg.size for seg in segments) == 0:
         raise ValueError("every subpulse replica must be non-empty")
     kernels = np.zeros((len(segments), sum(seg.size for seg in segments)), dtype=np.complex128)
     for row, seg, off in zip(kernels, segments, _segment_offsets(segments)):
         row[off : off + seg.size] = seg
-    window = rx.shape[1]
-    out_len = window - kernels.shape[1] + 1
-    if out_len < 1:
-        raise ValueError("receive window shorter than the concatenated segments")
-    nfft = sp_fft.next_fast_len(window)
-    kernel_spectra = np.conj(sp_fft.fft(kernels, n=nfft))
-    out = np.empty((rx.shape[0], len(segments), out_len), dtype=np.complex128)
-    # one pulse at a time: the full (pulse, segment, nfft) product would
-    # hold several times the output in memory at once
-    for row_out, row_spectrum in zip(out, sp_fft.fft(rx, n=nfft)):
-        row_out[:] = sp_fft.ifft(row_spectrum * kernel_spectra)[:, :out_len]
-    return out
+    return matched_filter(rx_per_pulse, kernels)
 
 
 def build_datacube(profiles, channel: PrfChannel) -> Datacube:

@@ -17,7 +17,6 @@ import pytest
 
 from subpulse import (
     ChannelStats,
-    CongruenceSystem,
     FusionRule,
     McConfig,
     PrfChannel,
@@ -144,8 +143,7 @@ def test_congruence_roundtrip_exhaustive():
     moduli = (11, 13, 17, 19)
     theta = math.prod(moduli)
     for true_bin in range(theta):
-        system = CongruenceSystem(moduli=moduli, residues=tuple(true_bin % m for m in moduli))
-        assert ccrt_solve(system) == true_bin
+        assert ccrt_solve(moduli, tuple(true_bin % m for m in moduli)) == true_bin
     # random coprime systems cross-checked against a linear scan
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     rng = random.Random(123)
@@ -156,9 +154,7 @@ def test_congruence_roundtrip_exhaustive():
         if span > 2_000_000:
             continue
         true_bin = rng.randrange(span)
-        solved = ccrt_solve(
-            CongruenceSystem(moduli=subset, residues=tuple(true_bin % m for m in subset))
-        )
+        solved = ccrt_solve(subset, tuple(true_bin % m for m in subset))
         grid = np.arange(span)
         mask = np.ones(span, dtype=bool)
         for m in subset:

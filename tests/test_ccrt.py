@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subpulse import (
-    CongruenceSystem,
     NotInvertibleError,
     OutOfWindowError,
     PrfChannel,
     apparent_bin,
     ccrt_solve,
-    ccrt_solve_array,
     common_bin_spacing,
     doppler_to_velocity,
     fold_bin,
@@ -65,50 +63,49 @@ class TestModularInverse:
 
 class TestCcrtSolve:
     def test_two_modulus_example(self):
-        assert ccrt_solve(CongruenceSystem(moduli=[3, 5], residues=[2, 3])) == 8
+        assert ccrt_solve([3, 5], [2, 3]) == 8
 
     def test_all_zero_residues(self):
-        assert ccrt_solve(CongruenceSystem(moduli=list(MODULI), residues=[0, 0, 0, 0])) == 0
+        assert ccrt_solve(MODULI, [0, 0, 0, 0]) == 0
 
     def test_reference_bin_thirty_six(self):
         residues = [36 % m for m in MODULI]
         assert residues == [3, 10, 2, 17]
-        assert ccrt_solve(CongruenceSystem(moduli=list(MODULI), residues=residues)) == 36
+        assert ccrt_solve(MODULI, residues) == 36
 
     def test_small_system_exhaustively(self):
         for b in range(3 * 5 * 7):
-            sys = CongruenceSystem(moduli=[3, 5, 7], residues=[b % 3, b % 5, b % 7])
-            assert ccrt_solve(sys) == b
+            assert ccrt_solve([3, 5, 7], [b % 3, b % 5, b % 7]) == b
 
     def test_non_coprime_moduli_rejected(self):
         with pytest.raises(NotInvertibleError):
-            CongruenceSystem(moduli=[6, 9], residues=[1, 2])
+            ccrt_solve([6, 9], [1, 2])
 
     def test_residue_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            CongruenceSystem(moduli=[3, 5], residues=[3, 0])
+            ccrt_solve([3, 5], [3, 0])
         with pytest.raises(ValueError, match="residue"):
-            CongruenceSystem(moduli=(3, 5), residues=(1.5, 2))
+            ccrt_solve((3, 5), (1.5, 2))
         with pytest.raises(ValueError, match="modulus"):
-            CongruenceSystem(moduli=(3.9, 5), residues=(1, 2))
+            ccrt_solve((3.9, 5), (1, 2))
         with pytest.raises(ValueError, match="bin index"):
             fold_bin(7.9, PrfChannel(prf=500.0, num_pulses=5))
 
     def test_theta_is_the_product(self):
-        assert CongruenceSystem(moduli=list(MODULI), residues=[0, 0, 0, 0]).theta == THETA
+        # the largest residue in every channel is the last bin before the wrap
+        assert ccrt_solve(MODULI, [m - 1 for m in MODULI]) == THETA - 1
 
 
 class TestCcrtSolveArray:
-    def test_matches_the_scalar_solve(self):
+    def test_recovers_the_true_bins(self):
         rng = np.random.default_rng(3)
         bins = np.concatenate([np.arange(50), rng.integers(0, THETA, 500), [THETA - 1]])
         residues = bins[:, None] % np.array(MODULI)
-        solved = ccrt_solve_array(MODULI, residues)
+        solved = ccrt_solve(MODULI, residues)
         assert solved.dtype == np.int64
-        assert solved.tolist() == [
-            ccrt_solve(CongruenceSystem(moduli=MODULI, residues=tuple(r))) for r in residues
-        ]
         assert solved.tolist() == bins.tolist()
+        one = ccrt_solve(MODULI, residues[60])
+        assert type(one) is int and one == bins[60]
 
     def test_python_int_fallback_beyond_int64(self):
         moduli = (65521, 65519, 65497, 65479)  # primes near 2**16
@@ -117,26 +114,27 @@ class TestCcrtSolveArray:
         rng = np.random.default_rng(4)
         bins = [0, 1, theta - 1] + [int(rng.integers(0, 2 ** 62)) * 4 + k for k in range(3)]
         residues = np.array([[b % m for m in moduli] for b in bins])
-        solved = ccrt_solve_array(moduli, residues)
+        solved = ccrt_solve(moduli, residues)
         assert solved.dtype == object
         assert solved.tolist() == bins
-        assert solved.tolist() == [
-            ccrt_solve(CongruenceSystem(moduli=moduli, residues=tuple(r))) for r in residues
-        ]
+        one = ccrt_solve(moduli, tuple(residues[2]))
+        assert type(one) is int and one == theta - 1
 
     def test_non_coprime_moduli_rejected(self):
         with pytest.raises(NotInvertibleError):
-            ccrt_solve_array((6, 9), [[1, 2]])
+            ccrt_solve((6, 9), [[1, 2]])
 
     def test_residue_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            ccrt_solve_array((3, 5), [[0, 0], [3, 0]])
+            ccrt_solve((3, 5), [[0, 0], [3, 0]])
         with pytest.raises(ValueError):
-            ccrt_solve_array((3, 5), [[0, 0, 0]])
+            ccrt_solve((3, 5), [[0, 0, 0]])
         with pytest.raises(ValueError, match="residue"):
-            ccrt_solve_array((3, 5), np.array([[1.5, 2]], dtype=object))
+            ccrt_solve((3, 5), np.array([[1.5, 2]], dtype=object))
+        with pytest.raises(ValueError, match="residue"):
+            ccrt_solve((3, 5), [[0, 1], [1.5, 2]])
         with pytest.raises(ValueError, match="modulus"):
-            ccrt_solve_array((3.9, 5), [[1, 2]])
+            ccrt_solve((3.9, 5), [[1, 2]])
 
 
 class TestBinMaps:
@@ -208,6 +206,15 @@ class TestUnfold:
     def test_residue_count_must_match(self):
         with pytest.raises(ValueError):
             unfold([1, 2], reference_channels(), coarse_hz=0.0)
+
+    @pytest.mark.parametrize("unfolder", [unfold, unfold_tolerant])
+    @pytest.mark.parametrize("residue", [1.7, math.nan, "1"])
+    def test_non_integral_residue_is_refused_by_name(self, unfolder, residue):
+        # truncating 1.7 would unfold the bin of [1, 2] (67 on moduli 11, 13)
+        chans = reference_channels()[:2]
+        assert unfolder([1, 2], chans, coarse_hz=6700.0).bin == 67
+        with pytest.raises(ValueError, match="residue must be an integer"):
+            unfolder([residue, 2], chans, coarse_hz=6700.0)
 
     @given(st.integers(min_value=-(THETA // 2), max_value=THETA // 2))
     @settings(max_examples=200, deadline=None)

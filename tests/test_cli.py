@@ -171,6 +171,20 @@ class TestMonteCarloMode:
         err = capsys.readouterr().err
         assert "seed" in err and "--seed" in err
 
+    def test_an_error_inside_the_run_is_printed_and_recorded(self, tmp_path, capsys):
+        # the closed form cannot resolve M=31, N=32 at -5 dB
+        config = write_config(tmp_path, "deep.json", {
+            "channels": [{"pulses": 31, "subpulses": 32}],
+            "snr_db": {"start": -5.0, "stop": -5.0},
+            "output_path": str(tmp_path / "deep.csv"),
+        })
+        assert main(["pd", config]) == 1
+        err = capsys.readouterr().err
+        manifest = json.loads((tmp_path / "deep.csv.manifest.json").read_text())
+        assert manifest["error"]["type"] == "NumericalDomainError"
+        assert manifest["output"] is None and manifest["cross_checks"]["passed"] is False
+        assert f"run error: NumericalDomainError: {manifest['error']['message']}" in err
+
 
 class TestCongruenceMode:
     def test_round_trip_over_the_whole_lattice(self, tmp_path):

@@ -124,6 +124,34 @@ class TestMatchedFilter:
         with pytest.raises(ValueError):
             matched_filter(np.ones(4), np.ones(5))
 
+    @pytest.mark.parametrize("windows, replicas, window, length", [
+        (None, None, 300, 70),  # one window, one replica
+        (None, None, 40, 40),  # equal lengths: a single lag
+        (3, 4, 101, 23),  # stacked windows against stacked replicas
+        (2, None, 64, 9),
+        (None, 3, 64, 64),
+    ])
+    def test_matches_the_direct_sum(self, windows, replicas, window, length):
+        # np.correlate(a, v, "valid") is the direct sum over a[k+n] conj(v[n])
+        rng = np.random.default_rng(window * 100 + length)
+
+        def draw(stack, n):
+            shape = (n,) if stack is None else (stack, n)
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        rx, replica = draw(windows, window), draw(replicas, length)
+        reference = np.array([
+            [np.correlate(row, rep, "valid") for rep in np.atleast_2d(replica)]
+            for row in np.atleast_2d(rx)
+        ])
+        if replica.ndim == 1:
+            reference = reference[:, 0]
+        if rx.ndim == 1:
+            reference = reference[0]
+        out = matched_filter(rx, replica)
+        assert out.shape == reference.shape
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
     @given(st.integers(min_value=2, max_value=50), st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=40, deadline=None)
     def test_zero_lag_dominates_by_cauchy_schwarz(self, n, seed):

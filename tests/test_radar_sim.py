@@ -26,7 +26,6 @@ from subpulse import (
     export_maps,
     fold_bin,
     make_lfm,
-    matched_filter,
     run_pipeline,
     simulate_channel,
     split_subpulses,
@@ -192,7 +191,7 @@ class TestCompression:
                 [
                     np.stack(
                         [
-                            matched_filter(row, seg)[off : off + out_len]
+                            np.correlate(row, seg, "valid")[off : off + out_len]
                             for seg, off in zip(segments, offsets)
                         ]
                     )
