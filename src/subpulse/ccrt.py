@@ -271,6 +271,9 @@ def unfold_tolerant(
     # frequencies are built on the rounded value
     spacing = PrfChannel(prf=mean_spacing * moduli[0], num_pulses=moduli[0]).bin_spacing
     measured = np.array([_integral(r, "residue") for r in residues])
+    # checked before the perturbation wraps every residue into range
+    if np.any(measured < 0) or np.any(measured >= np.array(moduli)):
+        raise ValueError(f"residues out of range for moduli {moduli}")
     deltas = np.array(list(itertools.product((-1, 0, 1), repeat=len(moduli))))
     bins = ccrt_solve(moduli, (measured + deltas) % np.array(moduli))
     theta = math.prod(moduli)

@@ -518,17 +518,19 @@ def _rows_ccrt_check(config: ExperimentConfig, failures: list):
 
 
 def _rows_simulate(config: ExperimentConfig, failures: list, exports: list):
-    from .numerics import RngStream
+    from .numerics import RngStream, _thread_map
 
     setup = config.radar
-    maps = []
-    for index, channel in enumerate(setup.channels):
+
+    def channel_maps(index: int):
         rng = RngStream(config.seed, stream_id=index) if config.seed is not None else None
-        _, dmap = simulate_channel(
-            setup, channel, config.target, rng=rng, noise_sigma=config.noise_sigma
+        return simulate_channel(
+            setup, setup.channels[index], config.target, rng=rng, noise_sigma=config.noise_sigma
         )
-        maps.append(dmap)
-        if config.export_map_files:
+
+    maps = _thread_map(channel_maps, len(setup.channels))
+    if config.export_map_files:
+        for index, dmap in enumerate(maps):
             base = str(Path(config.output_path).with_suffix("")) + f".ch{index}"
             for p in export_maps(dmap, base):
                 exports.append(str(p))

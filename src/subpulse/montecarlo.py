@@ -7,9 +7,9 @@ forms in detection_stats are accepted against.
 Reproducibility: work is split into fixed-size batches and batch b draws
 from RngStream(seed, stream_id=b), so a run is bit-identical for a given
 (seed, trials, batch_size) no matter how batches are scheduled; `estimate`
-runs them on a thread pool, one worker per usable CPU (numpy's generators
-release the GIL while they fill arrays). Each worker holds one batch's
-working set, so peak memory grows with the worker count. With batch_size=1
+runs them through numerics._thread_map, one worker per usable CPU (numpy's
+generators release the GIL while they fill arrays). Each worker holds one
+batch's working set, so peak memory grows with the worker count. With batch_size=1
 the stream addressing degenerates to one stream per trial and `estimate`
 consumes randomness exactly like `run_trial` does.
 """
@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detection_stats import ChannelStats
-from .numerics import RngStream, _integral
+from .numerics import RngStream, _integral, _thread_map
 
 __all__ = [
     "McConfig",
@@ -143,12 +141,6 @@ def _run_batch(rng: RngStream, stats: ChannelStats, n: int):
     return detections, false_alarms
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _binomial_stderr(p_hat: float, trials: int) -> float:
     return math.sqrt(p_hat * (1.0 - p_hat) / trials)
 
@@ -162,8 +154,7 @@ def estimate(config: McConfig) -> McEstimate:
         return _run_batch(RngStream(config.seed, stream_id=b), config.stats, n)
 
     # Integer counts sum to the same totals whatever the schedule.
-    with ThreadPoolExecutor(max_workers=min(batches, _usable_cpus())) as pool:
-        counts = list(pool.map(run_batch, range(batches)))
+    counts = _thread_map(run_batch, batches)
     detections = sum(d for d, _ in counts)
     false_alarms = sum(f for _, f in counts)
     pd_hat = detections / config.trials

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: log-I0, quadrature, matched filter, RNG.
+"""Shared numerical kernels: log-I0, quadrature, matched filter, RNG, threads.
 
 Everything here is pure and reentrant. These are the primitives whose
 numerical contracts (tolerances, determinism, error behavior) the statistics
@@ -9,6 +9,8 @@ directly where no such contract is needed.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,6 +79,26 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_map(fn: Callable[[int], object], count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], run on min(count, usable CPUs) threads.
+
+    Results come back in index order and the first exception in index order
+    is raised, whatever the schedule; one pool.map call at every worker
+    count, one worker included. The pool lives in a `with` block, so no
+    thread outlives the call. Callers keep each fn(i) independent of the
+    others (its own RngStream, its own output), and gain only where fn
+    spends its time in numpy or scipy code that releases the GIL.
+    """
+    with ThreadPoolExecutor(max_workers=max(1, min(count, _usable_cpus()))) as pool:
+        return list(pool.map(fn, range(count)))
 
 
 def bessel_i0_log(x: float) -> float:

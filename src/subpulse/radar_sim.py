@@ -1,12 +1,17 @@
 """End-to-end pulsed radar simulation: waveform, echoes, compression, maps.
 
 A linear-FM pulse train is transmitted on several PRF channels. Each received
-pulse is range-compressed against each of N replica segments; the segment
-outputs sum to the full-replica compression. A per-range 2-D DFT over the
-pulse and segment axes gives the segment map (coarse resolution, wide
-Doppler tolerance), and its zero-segment-frequency slice is the pulse map
-(fine resolution, narrow tolerance). The peaks of both maps feed the
+pulse is range-compressed against each of N replica segments (compress_sp);
+the segment outputs sum to the full-replica compression. A per-range 2-D DFT
+over the pulse and segment axes gives the segment map (coarse resolution,
+wide Doppler tolerance), and its zero-segment-frequency slice is the pulse
+map (fine resolution, narrow tolerance). The peaks of both maps feed the
 congruence-based velocity unfolding in ccrt.
+
+Compression and both DFTs are linear, so doppler_maps takes the DFTs first:
+the pulse DFT on the raw receive windows, and the segment DFT folded into N
+phase-stepped copies of the replica, a subpulse-Doppler filter bank. One
+matched_filter call per channel against that bank gives the maps.
 
 Intra-pulse Doppler is modelled as a phase that advances once per subpulse
 interval; that is what degrades the full-replica compression of fast targets
@@ -23,6 +28,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import fft as _fft
 
 from .ccrt import (
     OutOfWindowError,
@@ -32,7 +38,7 @@ from .ccrt import (
     unfold_tolerant,
     velocity_to_doppler,
 )
-from .numerics import RngStream, matched_filter
+from .numerics import RngStream, _thread_map, matched_filter
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -179,7 +185,8 @@ class DopplerMap:
 
     pp: [pulse-doppler bin, range bin], the full-replica map (sp's
         zero subpulse-doppler slice).
-    sp: [pulse-doppler bin, subpulse-doppler bin, range bin], from the 2-D DFT.
+    sp: [pulse-doppler bin, subpulse-doppler bin, range bin], the 2-D DFT
+        of the per-segment compression.
     """
 
     channel: PrfChannel
@@ -335,38 +342,40 @@ def build_datacube(profiles, channel: PrfChannel) -> Datacube:
     return Datacube(channel=channel, data=arr.transpose(2, 0, 1))
 
 
-def _dft_matrix(n: int) -> np.ndarray:
-    """F[j, k] = exp(-2 pi i ((j k) mod n) / n); reducing j k mod n first
-    keeps every entry as accurate as the n-th roots of unity themselves."""
-    jk = np.outer(np.arange(n), np.arange(n)) % n
-    return np.exp(-2j * math.pi * jk / n)
+def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> DopplerMap:
+    """Magnitude Doppler maps of one channel's receive windows.
 
+    The segment map is |2-D DFT| over (pulse, segment) of
+    compress_sp(rx_per_pulse, subpulse_replicas); the pulse map is its
+    zero-segment-frequency slice, where the segment DFT is the segment sum,
+    the full-replica compression.
 
-def doppler_maps(cube: Datacube) -> DopplerMap:
-    """Magnitude Doppler maps of one datacube.
-
-    The segment map is the 2-D DFT over (pulse, segment), taken on the cube
-    as a (pulse, subpulse, range) view, the layout build_datacube keeps. The
-    pulse map is its zero-segment-frequency slice: the segment DFT at
-    frequency 0 is the segment sum, which equals the full-replica
-    compression.
-
-    M and N are small, so the DFT is two dense DFT-matrix products on
-    contiguous memory: F_M times the cube as an (M, N*R) matrix, then F_N
-    times each pulse-Doppler row's (N, R) block, written back in place so
-    that no second cube-sized complex array is held. An FFT over the ~10^4
-    range lanes of a channel spends most of its time on per-lane overhead
-    instead. The products cost O(M^2 N R + M N^2 R): on a 2-core host they beat
-    numpy's FFT up to about M = 128 and lose from about M = 256 (N = 8).
+    Correlation and both DFTs are linear, so they are taken in another
+    order. The pulse DFT runs on the raw receive windows. The segment DFT
+    folds into the replica: row l of the filter bank concatenates segment s
+    times exp(+2 pi i ((l s) mod N) / N) over s, and correlating with it
+    (which conjugates the bank) sums the segment outputs with the DFT
+    weights exp(-2 pi i l s / N). One matched_filter call against the N
+    rows then costs what the per-segment compression costs, and no
+    per-range transform is left.
     """
-    data = np.moveaxis(cube.data, 0, 2)  # (pulse, subpulse, range)
-    pulses, segments, ranges = data.shape
-    f_pulse, f_segment = _dft_matrix(pulses), _dft_matrix(segments)
-    maps = (f_pulse @ data.reshape(pulses, segments * ranges)).reshape(data.shape)
-    for block in maps:
-        block[:] = f_segment @ block
-    sp = np.abs(maps)
-    return DopplerMap(channel=cube.channel, pp=sp[:, 0, :], sp=sp)
+    segments = [np.asarray(seg) for seg in subpulse_replicas]
+    if not segments or min(seg.size for seg in segments) == 0:
+        raise ValueError("every subpulse replica must be non-empty")
+    rx = np.asarray(rx_per_pulse, dtype=np.complex128)
+    if rx.ndim != 2 or rx.shape[0] != channel.num_pulses or len(segments) != channel.num_subpulses:
+        raise ValueError(
+            f"{rx.shape} receive windows and {len(segments)} segments do not match channel "
+            f"({channel.num_pulses} pulses, {channel.num_subpulses} subpulses)"
+        )
+    if not np.isfinite(rx).all():
+        raise ValueError("receive window samples must be finite")
+    n = len(segments)
+    # (l s) mod N first keeps every phase as accurate as the N-th roots of unity
+    phases = np.exp(2j * math.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+    bank = np.concatenate(segments) * np.repeat(phases, [seg.size for seg in segments], axis=1)
+    sp = np.abs(matched_filter(_fft.fft(rx, axis=0), bank))
+    return DopplerMap(channel=channel, pp=sp[:, 0, :], sp=sp)
 
 
 def _coarse_bin_to_hz(l_bin: int, num_subpulses: int, pulse_width_s: float) -> float:
@@ -454,13 +463,11 @@ def simulate_channel(
     truth: TargetTruth,
     rng: RngStream = None,
     noise_sigma: float = 0.0,
-):
-    """Synthesize one channel and carry it to (Datacube, DopplerMap)."""
+) -> DopplerMap:
+    """Synthesize one channel and carry it to its DopplerMap."""
     rx = synth_echo(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
-    replica = make_lfm(setup)
-    segments = split_subpulses(replica, channel.num_subpulses)
-    cube = build_datacube(compress_sp(rx, segments), channel)
-    return cube, doppler_maps(cube)
+    segments = split_subpulses(make_lfm(setup), channel.num_subpulses)
+    return doppler_maps(rx, segments, channel)
 
 
 def run_pipeline(
@@ -470,12 +477,19 @@ def run_pipeline(
     noise_sigma: float = 0.0,
     spacing_tolerance_hz: float = 0.0,
 ) -> DetectionReport:
-    """Simulate every channel (stream per channel) and fuse the detections."""
-    maps = []
-    for index, channel in enumerate(setup.channels):
+    """Simulate every channel and fuse the detections.
+
+    Channel i draws from RngStream(seed, stream_id=i), so the channels run
+    side by side on threads and the report does not depend on the schedule.
+    """
+
+    def channel_maps(index: int) -> DopplerMap:
         rng = RngStream(seed, stream_id=index) if seed is not None else None
-        _, dmap = simulate_channel(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
-        maps.append(dmap)
+        return simulate_channel(
+            setup, setup.channels[index], truth, rng=rng, noise_sigma=noise_sigma
+        )
+
+    maps = _thread_map(channel_maps, len(setup.channels))
     return detect_and_unfold(maps, setup, spacing_tolerance_hz=spacing_tolerance_hz)
 
 

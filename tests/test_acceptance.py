@@ -182,7 +182,7 @@ def test_end_to_end_simulation():
 
     wins = 0
     for seed in range(100):
-        _, dmap = simulate_channel(
+        dmap = simulate_channel(
             setup, channel, truth, rng=RngStream(seed, stream_id=0), noise_sigma=sigma
         )
         pp_ratio = float(dmap.pp.max()) / float(np.median(dmap.pp))

@@ -216,6 +216,13 @@ class TestUnfold:
         with pytest.raises(ValueError, match="residue must be an integer"):
             unfolder([residue, 2], chans, coarse_hz=6700.0)
 
+    @pytest.mark.parametrize("unfolder", [unfold, unfold_tolerant])
+    @pytest.mark.parametrize("residues", [[11, 2], [-3, 2], [1, 13]])
+    def test_out_of_range_residue_is_refused(self, unfolder, residues):
+        # reducing [11, 2] modulo (11, 13) first would unfold the bin of [0, 2]
+        with pytest.raises(ValueError, match="residues out of range"):
+            unfolder(residues, reference_channels()[:2], coarse_hz=0.0)
+
     @given(st.integers(min_value=-(THETA // 2), max_value=THETA // 2))
     @settings(max_examples=200, deadline=None)
     def test_fold_then_unfold_round_trips(self, b_d):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from subpulse import montecarlo
+from subpulse import montecarlo, numerics
 from subpulse import (
     ChannelStats,
     McConfig,
@@ -148,7 +148,7 @@ class TestEstimate:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("batches", [1, 2, 5])
     def test_threaded_batches_equal_the_serial_stream_sum(self, monkeypatch, batches, cpus):
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
         s = reference_stats()
         batch_size, seed = 1000, 21
         trials = batch_size * (batches - 1) + 337

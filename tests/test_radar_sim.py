@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from subpulse import numerics, radar_sim
 from subpulse import (
     OutOfWindowError,
     PrfChannel,
@@ -17,7 +18,6 @@ from subpulse import (
     RngStream,
     TargetTruth,
     SPEED_OF_LIGHT,
-    Datacube,
     build_datacube,
     compress_pp,
     compress_sp,
@@ -221,52 +221,53 @@ class TestCompression:
         assert sub / full == pytest.approx(model, rel=0.2)
 
 
-def fft_reference_maps(cube):
-    """|fft2| over (pulse, segment): the transform doppler_maps computes."""
-    return np.abs(np.fft.fft2(np.moveaxis(cube.data, 0, 2), axes=(0, 1)))
+def fft_reference_maps(rx, segments):
+    """|fft2| over (pulse, segment) of the compress_sp cube: the maps
+    doppler_maps computes, by the route its filter bank replaces."""
+    return np.abs(np.fft.fft2(compress_sp(rx, segments), axes=(0, 1)))
 
 
 class TestMaps:
-    @pytest.mark.parametrize("pulses, segments", [(1, 1), (1, 8), (11, 8), (31, 32), (64, 8)])
+    @pytest.mark.parametrize("pulses, segments", [(1, 1), (1, 8), (11, 8), (31, 32), (64, 8), (13, 7)])
     def test_matches_the_fft_on_random_cubes(self, pulses, segments):
+        # random windows and replica; 200 samples split 32 or 7 ways gives
+        # segments of unequal length
         rng = np.random.default_rng(pulses * 100 + segments)
         channel = PrfChannel(prf=1000.0, num_pulses=pulses, num_subpulses=segments)
-        shape = (pulses, segments, 97)
-        profiles = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        # the pipeline's transposed layout and a caller's contiguous one
-        for cube in (
-            build_datacube(profiles, channel),
-            Datacube(channel, np.ascontiguousarray(profiles.transpose(2, 0, 1))),
-        ):
-            dmap = doppler_maps(cube)
-            reference = fft_reference_maps(cube)
-            assert dmap.sp.shape == reference.shape
-            assert np.abs(dmap.sp - reference).max() <= 1e-12 * reference.max()
-            np.testing.assert_array_equal(dmap.pp, dmap.sp[:, 0, :])
+        replica = rng.normal(size=200) + 1j * rng.normal(size=200)
+        rx = rng.normal(size=(pulses, 296)) + 1j * rng.normal(size=(pulses, 296))
+        parts = split_subpulses(replica, segments)
+        dmap = doppler_maps(rx, parts, channel)
+        reference = fft_reference_maps(rx, parts)
+        assert dmap.sp.shape == reference.shape == (pulses, segments, 97)
+        assert np.abs(dmap.sp - reference).max() <= 1e-12 * reference.max()
+        np.testing.assert_array_equal(dmap.pp, dmap.sp[:, 0, :])
 
     def test_noisy_scene_peaks_match_the_fft_route(self, setup):
         rng = np.random.default_rng(2024)
+        segments = split_subpulses(make_lfm(setup), 8)
         for seed in range(20):
             truth = TargetTruth(float(rng.uniform(2e3, 70e3)), float(rng.uniform(-3800.0, 3800.0)))
             for i, channel in enumerate(setup.channels):
-                cube, dmap = simulate_channel(
+                dmap = simulate_channel(
                     setup, channel, truth, rng=RngStream(seed, i), noise_sigma=0.05
                 )
-                reference = fft_reference_maps(cube)
+                rx = synth_echo(setup, channel, truth, rng=RngStream(seed, i), noise_sigma=0.05)
+                reference = fft_reference_maps(rx, segments)
                 assert np.argmax(dmap.sp) == np.argmax(reference)
                 assert np.argmax(dmap.pp) == np.argmax(reference[:, 0, :])
 
     def test_on_lattice_tone_peaks_at_folded_bin_and_range(self, setup):
         channel = setup.channels[0]
         v = -40 * 100.0 * setup.wavelength_m / 2.0  # bin -40 on the shared lattice
-        _, dmap = simulate_channel(setup, channel, TargetTruth(10e3, v))
+        dmap = simulate_channel(setup, channel, TargetTruth(10e3, v))
         k, r = np.unravel_index(int(np.argmax(dmap.pp)), dmap.pp.shape)
         assert (k, r) == ((-40) % channel.num_pulses, expected_delay_bin(setup))
 
     def test_pulse_map_is_the_zero_segment_slice(self, setup):
         channel = setup.channels[0]
         truth = TargetTruth(10e3, -900.0)
-        _, dmap = simulate_channel(setup, channel, truth)
+        dmap = simulate_channel(setup, channel, truth)
         # independent route: full-replica compression, then the pulse-axis DFT
         full = compress_pp(synth_echo(setup, channel, truth), make_lfm(setup))
         np.testing.assert_allclose(dmap.pp, np.abs(np.fft.fft(full, axis=0)), rtol=1e-10, atol=1e-9)
@@ -275,18 +276,31 @@ class TestMaps:
         channel = setup.channels[0]
         window = int(round(setup.sample_rate_hz / channel.prf))
         rx = np.zeros((channel.num_pulses, window), complex)
-        cube = build_datacube(compress_sp(rx, split_subpulses(make_lfm(setup), 8)), channel)
-        dmap = doppler_maps(cube)
+        dmap = doppler_maps(rx, split_subpulses(make_lfm(setup), 8), channel)
         assert np.all(dmap.pp == 0.0) and np.all(dmap.sp == 0.0)
 
     def test_map_energy_matches_cube_energy_per_range_bin(self, setup):
-        cube, dmap = simulate_channel(
-            setup, setup.channels[0], TargetTruth(10e3, -900.0), rng=RngStream(2, 0), noise_sigma=0.3
-        )
-        pulses, segments = cube.data.shape[1], cube.data.shape[2]
-        cube_energy = (np.abs(cube.data) ** 2).sum(axis=(1, 2))
-        map_energy = (dmap.sp ** 2).sum(axis=(0, 1)) / (pulses * segments)
+        channel = setup.channels[0]
+        segments = split_subpulses(make_lfm(setup), 8)
+        rx = synth_echo(setup, channel, TargetTruth(10e3, -900.0), rng=RngStream(2, 0), noise_sigma=0.3)
+        dmap = doppler_maps(rx, segments, channel)
+        cube = compress_sp(rx, segments)
+        pulses, parts = cube.shape[:2]
+        cube_energy = (np.abs(cube) ** 2).sum(axis=(0, 1))
+        map_energy = (dmap.sp ** 2).sum(axis=(0, 1)) / (pulses * parts)
         np.testing.assert_allclose(map_energy, cube_energy, rtol=1e-12)
+
+    def test_windows_must_match_the_channel(self, setup):
+        channel = setup.channels[0]
+        segments = split_subpulses(make_lfm(setup), 8)
+        rx = np.ones((channel.num_pulses, 400), complex)
+        with pytest.raises(ValueError, match="do not match channel"):
+            doppler_maps(rx[1:], segments, channel)
+        with pytest.raises(ValueError, match="do not match channel"):
+            doppler_maps(rx, segments[:7], channel)
+        rx[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            doppler_maps(rx, segments, channel)
 
     def test_datacube_shape_validation(self, setup):
         with pytest.raises(ValueError):
@@ -340,6 +354,29 @@ class TestDetection:
         assert a.velocity_mps == b.velocity_mps
         assert [c.peak_ratio for c in a.channels] == [c.peak_ratio for c in b.channels]
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_report_and_maps_do_not_depend_on_the_thread_count(self, setup, monkeypatch, cpus):
+        truth = TargetTruth(10e3, -900.0)
+        serial = [
+            simulate_channel(setup, ch, truth, rng=RngStream(7, i), noise_sigma=0.5)
+            for i, ch in enumerate(setup.channels)
+        ]
+        seen = []
+
+        def recording_detect(maps, *args, **kwargs):
+            seen.extend(maps)
+            return detect_and_unfold(maps, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(radar_sim, "detect_and_unfold", recording_detect)
+        report = run_pipeline(setup, truth, seed=7, noise_sigma=0.5)
+        assert report == detect_and_unfold(serial, setup)
+        assert len(seen) == len(serial)
+        for got, want in zip(seen, serial):
+            assert got.channel == want.channel
+            np.testing.assert_array_equal(got.sp, want.sp)
+            np.testing.assert_array_equal(got.pp, want.pp)
+
     def test_apparent_bins_fold_the_true_bin(self, setup):
         # high-SNR trials on lattice velocities: every channel's measured bin
         # must be the true bin's residue
@@ -355,7 +392,7 @@ class TestDetection:
     def test_segment_map_peak_never_falls_below_pulse_map_peak(self, setup):
         peaks = {}
         for v in (300.0, 600.0, 900.0):
-            _, dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, v))
+            dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, v))
             pp_peak = float(dmap.pp.max())
             sp_peak = float(dmap.sp.max())
             assert sp_peak >= pp_peak * (1.0 - 1e-9)
@@ -371,7 +408,7 @@ class TestDetection:
 
 class TestExport:
     def test_map_export_writes_both_grids(self, setup, tmp_path):
-        _, dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -300.0))
+        dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -300.0))
         pp_path, sp_path = export_maps(dmap, tmp_path / "maps")
         pp_meta = json.loads((tmp_path / "maps.pp.f32.json").read_text())
         raw = np.fromfile(pp_path, dtype="<f4").reshape(pp_meta["shape"])
