@@ -407,7 +407,8 @@ def _rows_prob_sweep(config: ExperimentConfig, which: str, failures: list):
             if abs(closed - oracle) > _ORACLE_TOL:
                 failures.append(
                     f"{which} closed-form vs oracle disagree at snr={snr_db} dB, "
-                    f"M={pulses}: {closed!r} vs {oracle!r}"
+                    f"M={pulses}, N={subpulses}: {closed!r} vs {oracle!r} "
+                    f"(gap {abs(closed - oracle):.3e})"
                 )
             mc_val = mc_err = None
             if use_mc:
@@ -416,8 +417,9 @@ def _rows_prob_sweep(config: ExperimentConfig, which: str, failures: list):
                 mc_err = est.stderr_pd if which == "pd" else est.stderr_pfa
                 if abs(mc_val - closed) > _MC_Z_LIMIT * mc_err + 10.0 / config.mc_trials:
                     failures.append(
-                        f"{which} Monte Carlo disagrees at snr={snr_db} dB, M={pulses}: "
-                        f"{mc_val!r} vs closed {closed!r} (stderr {mc_err!r})"
+                        f"{which} Monte Carlo disagrees at snr={snr_db} dB, M={pulses}, "
+                        f"N={subpulses}: {mc_val!r} vs closed {closed!r} (stderr {mc_err!r}, "
+                        f"gap {abs(mc_val - closed):.3e})"
                     )
             rows.append({
                 "snr1_db": snr_db,
@@ -476,7 +478,8 @@ def _rows_mc_validate(config: ExperimentConfig, failures: list):
             pfa_ok = abs(pfa_z) <= _MC_Z_LIMIT
             if not (pd_ok and pfa_ok):
                 failures.append(
-                    f"mc_validate z-score out of range at snr={snr_db} dB, M={pulses}: "
+                    f"mc_validate z-score out of range at snr={snr_db} dB, M={pulses}, "
+                    f"N={subpulses}: "
                     f"pd_z={pd_z:.2f} pfa_z={pfa_z:.2f}"
                 )
             rows.append({

@@ -7,9 +7,12 @@ The radar declares the target bin only when it beats all competitors in BOTH
 maps, and raises a false alarm when it loses in both. This module provides
 
   * closed-form detection / false-alarm probabilities (alternating double
-    binomial sums over the competitor counts),
-  * slower quadrature oracles that evaluate the same probabilities directly
-    from the conditional representation (used to validate the closed forms), and
+    binomial sums over the competitor counts, from one numpy term array,
+    with a bound on their float64 rounding; NumericalDomainError where the
+    bound exceeds 1e-6),
+  * quadrature oracles that evaluate the same probabilities directly from
+    the conditional representation (used to validate the closed forms), one
+    call of the vectorised rule in `numerics` each, and
   * M-of-L fusion of per-channel probabilities.
 
 All probabilities depend on (sigma1, sigma2, m_re, m_im) only through scale
@@ -24,6 +27,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .numerics import _integral, bessel_i0_log, integrate_semi_infinite
 
@@ -42,9 +47,13 @@ __all__ = [
 # Default per-pulse SNR-to-mean-power calibration; see from_snr.
 SNR_SCALE_DEFAULT = 0.32
 
+# largest certified rounding error of a closed-form sum (the CLI's oracle gate)
+_ROUNDING_LIMIT = 1e-6
+_EPS = np.finfo(float).eps
+
 
 class NumericalDomainError(ArithmeticError):
-    """A kernel denominator left its valid range; the parameter regime is bad."""
+    """float64 cannot resolve a closed-form sum in this parameter regime."""
 
 
 @dataclass(frozen=True)
@@ -162,58 +171,51 @@ def from_snr(
     )
 
 
-def _log_binomials(n: int) -> list:
-    # log C(n, k) for k = 0..n; log space keeps n up to 64 overflow-free
-    return [
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        for k in range(n + 1)
-    ]
+def _log_binomials(n: int) -> np.ndarray:
+    # log C(n, k) for k = 0..n from the exact integers: each is within one
+    # rounding of its true value, which the closed forms' bound assumes
+    return np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
 
 
-def _kernel_sum(stats: ChannelStats, k_start: int, l_start: int) -> float:
-    """Alternating double sum over competitor-subset sizes (k, l).
+def _kernel_terms(stats: ChannelStats):
+    """Signed terms t_kl of the alternating double sum, and their error weights.
 
-    Each term is sign * C(M-1,k) * C(N-1,l) * (Q/P) * exp(-m + m/P) where
-    P = xi - corrections. P stays inside [1, xi] (equal to 1 only at
-    k = l = 0), so the exponent is never positive and every term is bounded
-    by its binomial weight. Raises NumericalDomainError if P reaches zero.
+    t_kl = (-1)^(k+l) C(M-1,k) C(N-1,l) / (q1 q2 P) * exp(-m (P-1)/P), with
+    q1 = 1 + k (1-lam1^2)/2, q2 = 1 + l (1-lam2^2)/2 and
+    P - 1 = k lam1^2/(2 q1) + l lam2^2/(2 q2) >= 0, which has no cancellation.
+    The weights are |t_kl| (A_kl + 2), where A_kl sums the magnitudes of the
+    pieces of the term's log (the log-binomials, log q1, log q2, log P and
+    m (P-1)/P, none negative); eps times their sum bounds the rounding of the
+    float64 sum.
     """
     lam1_sq = stats.lambda1 ** 2
     lam2_sq = stats.lambda2 ** 2
-    w1 = (1.0 - lam1_sq) / 2.0
-    w2 = (1.0 - lam2_sq) / 2.0
-    c1_top = lam1_sq / (2.0 * w1)
-    c2_top = lam2_sq / (2.0 * w2)
-    xi = stats.xi
-    m = stats.m
-    log_b1 = _log_binomials(stats.M - 1)
-    log_b2 = _log_binomials(stats.N - 1)
-
-    total = 0.0
-    for k in range(k_start, stats.M):
-        q1 = 1.0 + k * w1
-        corr1 = c1_top / q1
-        for l in range(l_start, stats.N):
-            q2 = 1.0 + l * w2
-            p = xi - corr1 - c2_top / q2
-            if p <= 0.0:
-                raise NumericalDomainError(
-                    f"kernel denominator non-positive at term ({k}, {l}): {p!r}"
-                )
-            log_mag = (
-                log_b1[k]
-                + log_b2[l]
-                - math.log(q1)
-                - math.log(q2)
-                - math.log(p)
-                + m * (1.0 / p - 1.0)
-            )
-            term = math.exp(log_mag)
-            total += -term if (k + l) % 2 else term
-    return total
+    k = np.arange(stats.M, dtype=float)
+    l = np.arange(stats.N, dtype=float)
+    q1 = 1.0 + k * ((1.0 - lam1_sq) / 2.0)
+    q2 = 1.0 + l * ((1.0 - lam2_sq) / 2.0)
+    excess = (k * lam1_sq / (2.0 * q1))[:, None] + l * lam2_sq / (2.0 * q2)
+    p = 1.0 + excess
+    log_b1, log_b2 = _log_binomials(stats.M - 1), _log_binomials(stats.N - 1)
+    log_q1, log_q2 = np.log(q1), np.log(q2)
+    shared = np.log(p) + stats.m * excess / p
+    magnitude = np.exp((log_b1 - log_q1)[:, None] + (log_b2 - log_q2) - shared)
+    pieces = (log_b1 + log_q1)[:, None] + (log_b2 + log_q2) + shared
+    signs1 = np.where(k % 2 == 1.0, -1.0, 1.0)
+    signs2 = np.where(l % 2 == 1.0, -1.0, 1.0)
+    return magnitude * signs1[:, None] * signs2, magnitude * (pieces + 2.0)
 
 
-def _checked_probability(raw: float, what: str) -> float:
+def _certified_sum(stats: ChannelStats, terms, weights, what: str) -> float:
+    """fsum of the terms, refused when its rounding bound exceeds the limit."""
+    bound = _EPS * float(weights.sum())
+    if bound > _ROUNDING_LIMIT:
+        raise NumericalDomainError(
+            f"{what} rounding bound {bound:.3e} exceeds {_ROUNDING_LIMIT:g} at "
+            f"M={stats.M}, N={stats.N}, m={stats.m!r}, lambda1={stats.lambda1!r}, "
+            f"lambda2={stats.lambda2!r}; float64 cannot resolve the alternating sum here"
+        )
+    raw = math.fsum(terms.ravel().tolist())
     if raw < -1e-9 or raw > 1.0 + 1e-9:
         raise NumericalDomainError(
             f"{what} left [0, 1] by more than 1e-9 (got {raw!r}); the "
@@ -227,26 +229,27 @@ def pd_closed_form(stats: ChannelStats) -> float:
 
     Closed form via binomial expansion of the competitor maxima and the
     square-law moment generating function of the conditional Rician pair.
-    Equals 1 when M = N = 1 (no competitors).
+    Equals 1 when M = N = 1 (no competitors). Raises NumericalDomainError
+    when the bound on the float64 sum's rounding exceeds 1e-6.
     """
-    return _checked_probability(_kernel_sum(stats, 0, 0), "detection probability")
+    terms, weights = _kernel_terms(stats)
+    return _certified_sum(stats, terms, weights, "detection probability")
 
 
 def pfa_closed_form(stats: ChannelStats) -> float:
     """Probability that the target bin loses in both maps simultaneously.
 
-    Same kernel as pd_closed_form restricted to k, l >= 1 (inclusion-
+    Same terms as pd_closed_form restricted to k, l >= 1 (inclusion-
     exclusion over the two union events). Zero when either map has no
-    competitor bin.
+    competitor bin. Raises NumericalDomainError as pd_closed_form does.
     """
-    if stats.M == 1 or stats.N == 1:
-        return 0.0
-    return _checked_probability(_kernel_sum(stats, 1, 1), "false-alarm probability")
+    terms, weights = _kernel_terms(stats)
+    return _certified_sum(stats, terms[1:, 1:], weights[1:, 1:], "false-alarm probability")
 
 
-def _log_shared_density(t: float, m: float) -> float:
+def _log_shared_density(t: np.ndarray, m: float) -> np.ndarray:
     # pdf of the shared component's power: exp(-t - m) * I0(2 sqrt(m t))
-    return -t - m + bessel_i0_log(2.0 * math.sqrt(m * t))
+    return -t - m + bessel_i0_log(2.0 * np.sqrt(m * t))
 
 
 def _density_breakpoints(m: float) -> tuple:
@@ -260,22 +263,34 @@ def _conditional_win(count: int, sigma: float, omega_sq: float, lam: float):
     Conditionally the envelope is Rician with noncentrality sigma*lam*sqrt(t)
     and per-component variance omega_sq; competitors have per-component
     variance sigma^2. Binomial expansion plus the Rician square-law MGF give
-    a short exponential mixture in t.
+    a short exponential mixture sum_k amp_k exp(-rate_k t), returned as the
+    arrays (amp, rate).
     """
     sigma_sq = sigma * sigma
-    coeffs = []
-    for k in range(count + 1):
-        denom = sigma_sq + k * omega_sq
-        amp = math.comb(count, k) * (sigma_sq / denom)
-        if k % 2:
-            amp = -amp
-        rate = k * lam * lam * sigma_sq / (2.0 * denom)
-        coeffs.append((amp, rate))
+    k = np.arange(count + 1, dtype=float)
+    denom = sigma_sq + k * omega_sq
+    signs = np.where(k % 2 == 1.0, -1.0, 1.0)
+    binomials = np.array([float(math.comb(count, j)) for j in range(count + 1)])
+    return signs * binomials * (sigma_sq / denom), k * lam * lam * sigma_sq / (2.0 * denom)
 
-    def win(t: float) -> float:
-        return math.fsum(a * math.exp(-r * t) for a, r in coeffs)
 
-    return win
+def _mixture(mix, t: np.ndarray) -> np.ndarray:
+    amp, rate = mix
+    return (amp * np.exp(-t[:, None] * rate)).sum(axis=-1)
+
+
+def _oracle(stats: ChannelStats, lose: bool) -> float:
+    win1 = _conditional_win(stats.M - 1, stats.sigma1, stats.omega1_sq, stats.lambda1)
+    win2 = _conditional_win(stats.N - 1, stats.sigma2, stats.omega2_sq, stats.lambda2)
+    m = stats.m
+
+    def integrand(t):
+        w1, w2 = _mixture(win1, t), _mixture(win2, t)
+        if lose:
+            w1, w2 = 1.0 - w1, 1.0 - w2
+        return np.exp(_log_shared_density(t, m)) * w1 * w2
+
+    return integrate_semi_infinite(integrand, breakpoints=_density_breakpoints(m))
 
 
 def pd_oracle(stats: ChannelStats) -> float:
@@ -283,29 +298,15 @@ def pd_oracle(stats: ChannelStats) -> float:
 
     Conditions on the shared scatterer power t: given t the two envelopes are
     independent Ricians, and the win probability in each map factorises.
-    Slow but independent of the closed-form algebra; agreement to 1e-6 is the
+    Independent of the closed-form algebra; agreement to 1e-6 is the
     validation gate for the closed form.
     """
-    win1 = _conditional_win(stats.M - 1, stats.sigma1, stats.omega1_sq, stats.lambda1)
-    win2 = _conditional_win(stats.N - 1, stats.sigma2, stats.omega2_sq, stats.lambda2)
-    m = stats.m
-
-    def integrand(t):
-        return math.exp(_log_shared_density(t, m)) * win1(t) * win2(t)
-
-    return integrate_semi_infinite(integrand, breakpoints=_density_breakpoints(m))
+    return _oracle(stats, lose=False)
 
 
 def pfa_oracle(stats: ChannelStats) -> float:
     """Quadrature evaluation of pfa_closed_form (lose-in-both-maps mass)."""
-    win1 = _conditional_win(stats.M - 1, stats.sigma1, stats.omega1_sq, stats.lambda1)
-    win2 = _conditional_win(stats.N - 1, stats.sigma2, stats.omega2_sq, stats.lambda2)
-    m = stats.m
-
-    def integrand(t):
-        return math.exp(_log_shared_density(t, m)) * (1.0 - win1(t)) * (1.0 - win2(t))
-
-    return integrate_semi_infinite(integrand, breakpoints=_density_breakpoints(m))
+    return _oracle(stats, lose=True)
 
 
 def combine_m_of_l(per_channel: Sequence, rule: FusionRule) -> float:

@@ -115,6 +115,21 @@ class TestDetectionSweeps:
         assert (tmp_path / "again.csv.manifest.json").read_text() == first_manifest
 
 
+    def test_a_failed_cross_check_names_the_layout_and_the_gap(self, tmp_path, monkeypatch):
+        # pool sweeps repeat a pulse count across subpulse counts, so M alone
+        # does not say which row failed
+        monkeypatch.setattr(cli_io, "pd_oracle", lambda stats: pd_closed_form(stats) + 1e-3)
+        config = write_config(tmp_path, "bad.json", {
+            "channels": [{"pulses": 7, "subpulses": 8}],
+            "snr_db": {"start": 10.0, "stop": 10.0},
+            "output_path": str(tmp_path / "bad.csv"),
+        })
+        assert main(["pd", config]) == 1
+        manifest = json.loads((tmp_path / "bad.csv.manifest.json").read_text())
+        (failure,) = manifest["cross_checks"]["failures"]
+        assert "M=7, N=8" in failure and "gap 1.000e-03" in failure
+
+
 class TestManifest:
     def test_manifest_records_the_run_and_hashes_the_csv(self, tmp_path):
         config = sweep_config(tmp_path, "m.csv", seed=11, mc={"trials": 4000, "batch_size": 512})
@@ -160,6 +175,18 @@ class TestMonteCarloMode:
         est = estimate(McConfig(stats=stats, seed=3, trials=20000, batch_size=4096))
         assert float(row["pd_mc"]) == est.pd_hat
         assert float(row["pfa_mc"]) == est.pfa_hat
+
+    def test_an_out_of_range_z_names_the_layout_and_the_score(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_io, "pd_closed_form", lambda stats: 0.0)
+        config = write_config(tmp_path, "mcbad.json", {
+            "channels": [{"pulses": 7, "subpulses": 8}],
+            "snr_db": {"start": 10.0, "stop": 10.0},
+            "output_path": str(tmp_path / "mcbad.csv"),
+        })
+        assert main(["mc", config, "--seed", "3", "--trials", "4000", "--batch-size", "4096"]) == 1
+        manifest = json.loads((tmp_path / "mcbad.csv.manifest.json").read_text())
+        (failure,) = manifest["cross_checks"]["failures"]
+        assert "M=7, N=8" in failure and "pd_z=" in failure
 
     def test_mc_without_a_seed_is_refused(self, tmp_path, capsys):
         config = write_config(tmp_path, "mc2.json", {

@@ -7,6 +7,7 @@ asserted here: the quadrature oracle for the closed forms, and a
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from subpulse import (
     ChannelStats,
     FusionRule,
+    NumericalDomainError,
     combine_m_of_l,
     from_snr,
     pd_closed_form,
@@ -23,6 +25,7 @@ from subpulse import (
     pfa_closed_form,
     pfa_oracle,
 )
+from subpulse.detection_stats import _kernel_terms
 
 REFERENCE_PULSES = (7, 11, 13, 17)
 
@@ -152,6 +155,86 @@ class TestOracles:
         assert abs(pfa_closed_form(s) - pfa_hat) <= 3 * pfa_se
         assert abs(pd_oracle(s) - pd_hat) <= 3 * pd_se
         assert abs(pfa_oracle(s) - pfa_hat) <= 3 * pfa_se
+
+
+# loadings near the kernel's edge, where P - 1 = xi - c1/q1 - c2/q2 cancels
+EDGE_LOADINGS = [(0.001, 0.9999), (0.001, 0.999999)]
+# the perfbench stats sweep pool
+POOL_PULSES = (7, 11, 13, 17, 19, 23, 29, 31)
+POOL_SUBPULSES = (8, 16, 32)
+
+
+def decimal_sums(stats):
+    """PD and PFA double sums of the closed form in 50-digit decimal.
+
+    The same terms as the float64 kernel, on the same float inputs, so the
+    difference is the float64 evaluation's rounding alone.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        one = Decimal(1)
+        lam1_sq = Decimal(stats.lambda1) ** 2
+        lam2_sq = Decimal(stats.lambda2) ** 2
+        m = Decimal(stats.m)
+        pd = pfa = Decimal(0)
+        for k in range(stats.M):
+            q1 = one + k * (one - lam1_sq) / 2
+            for l in range(stats.N):
+                q2 = one + l * (one - lam2_sq) / 2
+                excess = k * lam1_sq / (2 * q1) + l * lam2_sq / (2 * q2)
+                p = one + excess
+                term = (
+                    math.comb(stats.M - 1, k) * math.comb(stats.N - 1, l)
+                    / (q1 * q2 * p) * (-m * excess / p).exp()
+                )
+                term = -term if (k + l) % 2 else term
+                pd += term
+                if k and l:
+                    pfa += term
+        return float(pd), float(pfa)
+
+
+class TestKernelPrecision:
+    @pytest.mark.parametrize("lambda1, lambda2", EDGE_LOADINGS)
+    @pytest.mark.parametrize("pulses", [7, 17])
+    def test_edge_loadings_match_quadrature(self, lambda1, lambda2, pulses):
+        for snr_db in (10.0, 20.0, 30.0):
+            s = from_snr(snr_db, lambda1, lambda2, pulses, 8)
+            assert abs(pd_closed_form(s) - pd_oracle(s)) <= 1e-6
+            assert abs(pfa_closed_form(s) - pfa_oracle(s)) <= 1e-6
+
+    def test_rounding_bound_covers_the_float_sum(self):
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for lambda1, lambda2 in [(0.5, 0.99), EDGE_LOADINGS[1]]:
+            for pulses in (2, 7, 17, 31, 64):
+                for subpulses in (2, 8, 32):
+                    for snr_db in (-5.0, 5.0, 15.0):
+                        s = from_snr(snr_db, lambda1, lambda2, pulses, subpulses)
+                        terms, weights = _kernel_terms(s)
+                        for block, exact in zip((np.s_[:, :], np.s_[1:, 1:]), decimal_sums(s)):
+                            value = math.fsum(terms[block].ravel().tolist())
+                            bound = eps * math.fsum(weights[block].ravel().tolist())
+                            worst = max(worst, abs(value - exact) / bound)
+        assert worst <= 1.0
+
+    def test_unresolvable_sum_raises_with_its_bound(self):
+        # float64 gives 0.0040146 here against a true 0.0038719
+        s = from_snr(-5.0, 0.5, 0.99, 17, 32)
+        with pytest.raises(NumericalDomainError) as info:
+            pd_closed_form(s)
+        message = str(info.value)
+        for part in ("M=17", "N=32", f"m={s.m!r}", "lambda1=0.5", "lambda2=0.99", "bound"):
+            assert part in message
+        assert pd_oracle(s) == pytest.approx(0.0038718566507820714, abs=1e-9)
+
+    def test_pool_grid_is_certified_and_matches_quadrature(self):
+        for pulses in POOL_PULSES:
+            for subpulses in POOL_SUBPULSES:
+                for snr_db in np.arange(4.0, 15.25, 0.5):
+                    s = from_snr(float(snr_db), 0.5, 0.99, pulses, subpulses)
+                    assert abs(pd_closed_form(s) - pd_oracle(s)) <= 1e-6
+                    assert abs(pfa_closed_form(s) - pfa_oracle(s)) <= 1e-6
 
 
 class TestFusion:

@@ -1,6 +1,8 @@
 """Numeric kernel tests: log-I0, quadrature, matched filter, RNG."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,14 +43,35 @@ class TestBesselI0Log:
             bessel_i0_log(-1.0)
         with pytest.raises(ValueError):
             bessel_i0_log(math.nan)
+        with pytest.raises(ValueError):
+            bessel_i0_log(np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            bessel_i0_log(np.array([1.0, math.inf]))
+
+    def test_arrays_in_arrays_out_numbers_in_floats_out(self):
+        x = np.array([[0.0, 1.0], [50.0, 5000.0]])
+        got = bessel_i0_log(x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert got.tolist() == [[bessel_i0_log(v) for v in row] for row in x.tolist()]
+        assert type(bessel_i0_log(3)) is float
+        assert type(bessel_i0_log(np.float64(3.0))) is float
+
+
+# integrands of the quadrature tests: (name, f on an array of t, exact value)
+QUADRATURE_CASES = [
+    ("exponential", lambda t: np.exp(-t), 1.0),
+    ("gaussian-moment", lambda t: t * np.exp(-t * t), 0.5),
+    ("bessel-weighted", lambda t: np.exp(-t * t + bessel_i0_log(2.0 * t)) * t, math.exp(1.0) / 2.0),
+    ("rational", lambda t: 1.0 / (1.0 + t * t), math.pi / 2.0),
+]
 
 
 class TestSemiInfiniteQuadrature:
     def test_exponential_integrates_to_one(self):
-        assert integrate_semi_infinite(lambda t: math.exp(-t)) == pytest.approx(1.0, abs=1e-10)
+        assert integrate_semi_infinite(lambda t: np.exp(-t)) == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_moment_integrates_to_half(self):
-        assert integrate_semi_infinite(lambda t: t * math.exp(-t * t)) == pytest.approx(0.5, abs=1e-10)
+        assert integrate_semi_infinite(lambda t: t * np.exp(-t * t)) == pytest.approx(0.5, abs=1e-10)
 
     def test_bessel_weighted_gaussian_identity_grid(self):
         # int_0^inf t exp(b t^2) I0(a t) dt = -exp(-a^2/(4b)) / (2b), b < 0.
@@ -58,33 +81,84 @@ class TestSemiInfiniteQuadrature:
             for b in (-0.5, -1.0, -2.0):
                 exact = -math.exp(-a * a / (4.0 * b)) / (2.0 * b)
                 got = integrate_semi_infinite(
-                    lambda t, a=a, b=b: math.exp(b * t * t + bessel_i0_log(a * t)) * t
+                    lambda t, a=a, b=b: np.exp(b * t * t + bessel_i0_log(a * t)) * t
                 )
                 assert got == pytest.approx(exact, rel=1e-9)
 
     def test_breakpoints_do_not_change_the_value(self):
-        f = lambda t: t * math.exp(-t * t)
+        f = lambda t: t * np.exp(-t * t)
         plain = integrate_semi_infinite(f)
         hinted = integrate_semi_infinite(f, breakpoints=[0.3, 1.0, 4.0])
         assert hinted == pytest.approx(plain, rel=1e-10)
 
+    def test_integrand_sees_one_array_per_round(self):
+        shapes = []
+
+        def f(t):
+            shapes.append(t.shape)
+            return np.exp(-t)
+
+        integrate_semi_infinite(f, breakpoints=[1.0, 5.0])
+        # three segments of 8 fifteen-node panels in the first call
+        assert shapes[0] == (3 * 8 * 15,)
+        assert all(len(shape) == 1 and shape[0] % 15 == 0 for shape in shapes)
+
+    def test_integrand_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_semi_infinite(lambda t: np.exp(-t)[::2])
+
+    @pytest.mark.parametrize("name, f, exact", QUADRATURE_CASES, ids=[c[0] for c in QUADRATURE_CASES])
+    @pytest.mark.parametrize("breakpoints", [(), (0.5, 2.0, 9.0)], ids=["plain", "split"])
+    def test_agrees_with_quadpack(self, name, f, exact, breakpoints):
+        edges = [0.0] + list(breakpoints) + [math.inf]
+        reference = sum(
+            integrate.quad(lambda t: float(f(np.array([t]))[0]), a, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+        got = integrate_semi_infinite(f, breakpoints=breakpoints)
+        assert reference == pytest.approx(exact, rel=1e-9)
+        assert got == pytest.approx(reference, rel=1e-9)
+        assert got == pytest.approx(exact, rel=1e-9)
+
     def test_convergence_failure_carries_estimate_and_bound(self):
         with pytest.raises(ConvergenceError) as info:
-            integrate_semi_infinite(lambda t: math.exp(-t) * math.sin(4000.0 * t))
+            integrate_semi_infinite(lambda t: np.exp(-t) * np.sin(4000.0 * t))
         err = info.value
         assert math.isfinite(err.estimate)
         assert err.error_bound > 0.0
 
-    def test_convergence_failure_carries_quadpacks_own_estimate(self):
-        # one segment, so the error must hold QUADPACK's figures unchanged
-        f = lambda t: math.exp(-t) * math.sin(4000.0 * t)
-        value, bound, _, message = integrate.quad(
-            f, 0.0, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200, full_output=1
-        )
+    def test_failed_estimate_lies_within_its_bound(self):
+        # int_0^inf exp(-t) sin(w t) dt = w / (1 + w^2)
+        omega = 4000.0
         with pytest.raises(ConvergenceError) as info:
-            integrate_semi_infinite(f)
-        assert message
-        assert (info.value.estimate, info.value.error_bound) == (value, bound)
+            integrate_semi_infinite(lambda t: np.exp(-t) * np.sin(omega * t))
+        exact = omega / (1.0 + omega * omega)
+        assert abs(info.value.estimate - exact) <= info.value.error_bound
+
+    def test_noise_limited_integrand_stops_at_the_panel_cap(self):
+        # relative noise of 1e-6 keeps every panel above its share of the
+        # 1e-10 tolerance; only the 200-panel cap ends the bisection
+        rng = np.random.default_rng(5)
+        nodes = []
+
+        def noisy(t):
+            nodes.append(t.size)
+            return np.exp(-t) * (1.0 + 1e-6 * rng.standard_normal(t.shape))
+
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ConvergenceError) as info:
+                integrate_semi_infinite(noisy)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.estimate == pytest.approx(1.0, abs=1e-4)
+        # one segment: 8 panels, then at most 192 splits into two new panels
+        assert sum(nodes) <= 15 * (8 + 2 * 192)
+        assert elapsed < 1.0
+        assert peak < 2 * 2 ** 20
 
 
 class TestMatchedFilter:
