@@ -1,9 +1,5 @@
 """Trial-level simulation tests: sampler moments, outcome logic, estimator
 determinism and convergence.
-
-The variance-halving check uses a frozen seed family: a 32-sample variance
-ratio carries roughly 36% sampling noise, so the family was chosen once
-(deterministically reproducible) with its ratio near the theoretical 2.
 """
 
 import math
@@ -108,9 +104,11 @@ class TestEstimate:
         )
 
     def test_doubling_trials_halves_the_variance(self):
+        # ratio / 2 follows F(1199, 1199) under a correct sampler, so the
+        # 1.6-2.4 gate holds with probability 0.999
         s = reference_stats()
-        short = [estimate(McConfig(stats=s, seed=400 + k, trials=2500)).pd_hat for k in range(32)]
-        long = [estimate(McConfig(stats=s, seed=9400 + k, trials=5000)).pd_hat for k in range(32)]
+        short = [estimate(McConfig(stats=s, seed=400 + k, trials=2500)).pd_hat for k in range(1200)]
+        long = [estimate(McConfig(stats=s, seed=9400 + k, trials=5000)).pd_hat for k in range(1200)]
         ratio = np.var(short, ddof=1) / np.var(long, ddof=1)
         assert 1.6 <= ratio <= 2.4
 
@@ -121,17 +119,19 @@ class TestEstimate:
         assert 0.7 * theory <= np.std(vals, ddof=1) <= 1.4 * theory
 
     def test_concordance_with_closed_forms_across_seeds(self):
+        # a correct sampler puts at most 4 of 400 seeds beyond 3 SE with
+        # probability 0.995; one with a 1 % beyond-3-SE rate passes at 0.629
         s = reference_stats()
         pd_ref, pfa_ref = pd_closed_form(s), pfa_closed_form(s)
         pd_bad = pfa_bad = 0
-        for seed in range(100):
+        for seed in range(400):
             est = estimate(McConfig(stats=s, seed=seed, trials=100_000))
             if abs(est.pd_hat - pd_ref) > 3 * est.stderr_pd:
                 pd_bad += 1
             if abs(est.pfa_hat - pfa_ref) > 3 * est.stderr_pfa:
                 pfa_bad += 1
-        assert pd_bad <= 1
-        assert pfa_bad <= 1
+        assert pd_bad <= 4
+        assert pfa_bad <= 4
 
     def test_detection_operating_point_at_a_million_trials(self):
         s = reference_stats(pulses=7, snr1_db=10.0)
