@@ -50,9 +50,7 @@ from .detection_stats import (
 from .montecarlo import (
     McConfig,
     McEstimate,
-    TrialOutcome,
     estimate,
-    run_trial,
 )
 from .radar_sim import (
     DETECTION_THRESHOLD,

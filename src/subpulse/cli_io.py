@@ -387,9 +387,10 @@ def _mc_for(config: ExperimentConfig, stats, row_index: int):
     return estimate(
         McConfig(
             stats=stats,
-            seed=config.seed + row_index,
+            seed=config.seed,
             trials=config.mc_trials,
             batch_size=config.mc_batch,
+            row=row_index,
         )
     )
 

@@ -93,18 +93,22 @@ class RngStream:
     """Deterministic random stream addressed by (seed, stream_id).
 
     Identical (seed, stream_id) pairs replay identical sample sequences;
-    distinct stream_ids give independent-quality streams. Each stream has a
-    single owner; concurrent tasks must use distinct stream_ids.
+    distinct stream_ids give independent-quality streams. A stream_id is an
+    integer or a tuple of them (a hierarchical address such as (row, batch));
+    either way it is the SeedSequence spawn key. Each stream has a single
+    owner; concurrent tasks must use distinct stream_ids.
     """
 
-    def __init__(self, seed: int, stream_id: int = 0):
+    def __init__(self, seed: int, stream_id: int | tuple = 0):
         self.seed = _integral(seed, "seed")
-        self.stream_id = _integral(stream_id, "stream_id")
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+        key = stream_id if isinstance(stream_id, tuple) else (stream_id,)
+        key = tuple(_integral(part, "stream_id") for part in key)
+        for name, value in (("seed", self.seed), *(("stream_id", part) for part in key)):
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+        self.stream_id = key if isinstance(stream_id, tuple) else key[0]
         self._gen = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+            np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         )
 
     @property

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from subpulse import FusionRule, combine_m_of_l, from_snr, main, pd_closed_form, pfa_closed_form
-from subpulse import cli_io
+from subpulse import cli_io, numerics
 from subpulse.cli_io import SCHEMAS
 from subpulse.montecarlo import McConfig, estimate
 
@@ -187,6 +187,29 @@ class TestMonteCarloMode:
         manifest = json.loads((tmp_path / "mcbad.csv.manifest.json").read_text())
         (failure,) = manifest["cross_checks"]["failures"]
         assert "M=7, N=8" in failure and "pd_z=" in failure
+
+    def test_rows_do_not_replay_the_next_seeds_streams(self, tmp_path):
+        stats = from_snr(snr1_db=10.0, lambda1=0.5, lambda2=0.99, M=7, N=8)
+        estimates = {}
+        for seed in (7, 8):
+            path = sweep_config(tmp_path, f"rows{seed}.csv", seed=seed, mc={"trials": 4000})
+            config = cli_io.load_config(path, mode="mc_validate")
+            estimates[seed] = [cli_io._mc_for(config, stats, row) for row in (0, 1)]
+        assert estimates[7][0].pd_hat != estimates[7][1].pd_hat
+        assert estimates[7][1].pd_hat != estimates[8][0].pd_hat
+
+    def test_csv_and_manifest_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        config = sweep_config(tmp_path, "cpus.csv")
+        flags = ["--seed", "5", "--trials", "20000", "--batch-size", "4096"]
+        outputs = []
+        for cpus in (1, 2, 3, 3):
+            monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+            assert main(["mc", config, *flags]) == 0
+            outputs.append((
+                (tmp_path / "cpus.csv").read_bytes(),
+                (tmp_path / "cpus.csv.manifest.json").read_bytes(),
+            ))
+        assert all(output == outputs[0] for output in outputs)
 
     def test_mc_without_a_seed_is_refused(self, tmp_path, capsys):
         config = write_config(tmp_path, "mc2.json", {

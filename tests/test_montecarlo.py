@@ -12,12 +12,11 @@ from subpulse import (
     ChannelStats,
     McConfig,
     RngStream,
-    TrialOutcome,
     estimate,
     from_snr,
     pd_closed_form,
+    pd_oracle,
     pfa_closed_form,
-    run_trial,
 )
 
 FIG2_POINT = dict(snr1_db=10.0, lambda1=0.5, lambda2=0.99, N=8)
@@ -25,6 +24,16 @@ FIG2_POINT = dict(snr1_db=10.0, lambda1=0.5, lambda2=0.99, N=8)
 
 def reference_stats(pulses=7, snr1_db=10.0):
     return from_snr(snr1_db, 0.5, 0.99, pulses, 8)
+
+
+def batch_values(stats, seed, row, trials, batch_size):
+    """Per-trial (PD, PFA) arrays of each batch, drawn serially from its stream."""
+    return [
+        montecarlo._run_batch(
+            RngStream(seed, (row, b)), stats, min(batch_size, trials - b * batch_size)
+        )
+        for b in range(-(-trials // batch_size))
+    ]
 
 
 class TestSampler:
@@ -57,8 +66,9 @@ class TestSampler:
 class TestRunTrial:
     def test_single_bin_layout_always_detects(self):
         s = ChannelStats(1.0, 1.0, 0.5, 0.99, 2.0, 0.0, 1, 1)
-        outcomes = [run_trial(RngStream(5, k), s) for k in range(200)]
-        assert all(o is TrialOutcome.DETECTION for o in outcomes)
+        est = estimate(McConfig(stats=s, seed=5, trials=200, batch_size=64))
+        assert est.pd_hat == 1.0
+        assert est.pfa_hat == 0.0
 
     def test_overwhelming_target_saturates_detection(self):
         s = ChannelStats(1.0, 1.0, 0.5, 0.99, 1e4, 0.0, 4, 4)
@@ -69,8 +79,7 @@ class TestRunTrial:
     def test_outcomes_partition_every_run(self):
         s = reference_stats()
         est = estimate(McConfig(stats=s, seed=3, trials=20_000))
-        mixed = 1.0 - est.pd_hat - est.pfa_hat
-        assert mixed >= 0.0
+        assert est.pd_hat + est.pfa_hat <= 1.0
         assert est.pd_hat >= 0.0 and est.pfa_hat >= 0.0
 
 
@@ -79,29 +88,19 @@ class TestEstimate:
         cfg = McConfig(stats=reference_stats(), seed=42, trials=50_000)
         assert estimate(cfg) == estimate(cfg)
 
-    def test_unit_batches_replay_the_per_trial_streams(self):
-        # stream_id = trial index is the reference semantics; the default
-        # batching must not change the contract when batch_size = 1
+    def test_reported_stderr_is_the_sample_stderr(self):
         s = reference_stats()
-        trials, seed = 300, 9
-        wins = sum(
-            run_trial(RngStream(seed, i), s) is TrialOutcome.DETECTION for i in range(trials)
-        )
-        falses = sum(
-            run_trial(RngStream(seed, i), s) is TrialOutcome.FALSE_ALARM for i in range(trials)
-        )
-        est = estimate(McConfig(stats=s, seed=seed, trials=trials, batch_size=1))
-        assert est.pd_hat == wins / trials
-        assert est.pfa_hat == falses / trials
+        trials, batch_size = 10_000, 3000
+        est = estimate(McConfig(stats=s, seed=1, trials=trials, batch_size=batch_size))
+        pd, pfa = (np.concatenate(v) for v in zip(*batch_values(s, 1, 0, trials, batch_size)))
+        assert est.stderr_pd == pytest.approx(np.std(pd) / math.sqrt(trials), rel=1e-12)
+        assert est.stderr_pfa == pytest.approx(np.std(pfa) / math.sqrt(trials), rel=1e-12)
 
-    def test_reported_stderr_is_binomial(self):
-        est = estimate(McConfig(stats=reference_stats(), seed=1, trials=10_000))
-        assert est.stderr_pd == pytest.approx(
-            math.sqrt(est.pd_hat * (1 - est.pd_hat) / est.trials), rel=1e-12
-        )
-        assert est.stderr_pfa == pytest.approx(
-            math.sqrt(est.pfa_hat * (1 - est.pfa_hat) / est.trials), rel=1e-12
-        )
+    def test_rows_draw_from_disjoint_streams(self):
+        s = reference_stats()
+        row1_seed7 = estimate(McConfig(stats=s, seed=7, trials=4096, row=1))
+        row0_seed8 = estimate(McConfig(stats=s, seed=8, trials=4096, row=0))
+        assert row1_seed7.pd_hat != row0_seed8.pd_hat
 
     def test_doubling_trials_halves_the_variance(self):
         # ratio / 2 follows F(1199, 1199) under a correct sampler, so the
@@ -114,9 +113,10 @@ class TestEstimate:
 
     def test_spread_across_seeds_tracks_reported_stderr(self):
         s = reference_stats()
-        vals = [estimate(McConfig(stats=s, seed=k, trials=2500)).pd_hat for k in range(64)]
-        theory = math.sqrt(pd_closed_form(s) * (1 - pd_closed_form(s)) / 2500)
-        assert 0.7 * theory <= np.std(vals, ddof=1) <= 1.4 * theory
+        ests = [estimate(McConfig(stats=s, seed=k, trials=2500)) for k in range(64)]
+        reported = np.mean([e.stderr_pd for e in ests])
+        spread = np.std([e.pd_hat for e in ests], ddof=1)
+        assert 0.7 * reported <= spread <= 1.4 * reported
 
     def test_concordance_with_closed_forms_across_seeds(self):
         # a correct sampler puts at most 4 of 400 seeds beyond 3 SE with
@@ -145,6 +145,14 @@ class TestEstimate:
         est = estimate(McConfig(stats=s, seed=0, trials=10 ** 6))
         assert abs(est.pfa_hat - pfa_closed_form(s)) <= 3 * est.stderr_pfa
 
+    def test_lambda_edge_agrees_with_the_oracle(self):
+        # near lambda2 = 1 the float64 closed form once read 0.0060003 here
+        s = from_snr(30.0, 0.001, 0.999999, 17, 8)
+        est = estimate(McConfig(stats=s, seed=0, trials=8 << 20))
+        reference = pd_oracle(s)
+        assert abs(est.pd_hat - reference) <= 3 * est.stderr_pd
+        assert abs(0.0060003 - reference) > 40 * est.stderr_pd
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("batches", [1, 2, 5])
     def test_threaded_batches_equal_the_serial_stream_sum(self, monkeypatch, batches, cpus):
@@ -152,39 +160,30 @@ class TestEstimate:
         s = reference_stats()
         batch_size, seed = 1000, 21
         trials = batch_size * (batches - 1) + 337
-        est = estimate(McConfig(stats=s, seed=seed, trials=trials, batch_size=batch_size))
-        counts = [
-            montecarlo._run_batch(RngStream(seed, b), s, min(batch_size, trials - b * batch_size))
-            for b in range(batches)
-        ]
-        assert est.pd_hat == sum(d for d, _ in counts) / trials
-        assert est.pfa_hat == sum(f for _, f in counts) / trials
+        config = McConfig(stats=s, seed=seed, trials=trials, batch_size=batch_size, row=3)
+        est = estimate(config)
+        pd, pfa = (np.concatenate(v) for v in zip(*batch_values(s, seed, 3, trials, batch_size)))
+        assert est.pd_hat == pytest.approx(pd.mean(), rel=1e-12)
+        assert est.pfa_hat == pytest.approx(pfa.mean(), rel=1e-12)
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 1)
+        assert estimate(config) == est
 
-    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
-    @pytest.mark.parametrize("k", [0, 1, 30])
-    def test_sliced_exponential_max_equals_the_rayleigh_row_max(self, k, n):
-        expected = np.random.default_rng(8).rayleigh(0.7, (n, k)).max(axis=1, initial=-np.inf)
-        g = np.random.default_rng(8)
-        got = montecarlo._competitor_max(g, 0.7, n, k)
-        assert got.tobytes() == expected.tobytes()
-        # and the stream is left where the full draw leaves it
-        after = np.random.default_rng(8)
-        after.rayleigh(0.7, (n, k))
-        assert g.random() == after.random()
-
-    def test_batch_matches_full_rayleigh_competitor_draws(self):
-        s = reference_stats(pulses=17)
-        n = 2 * montecarlo._SLICE_ROWS + 3
-        rng = RngStream(6, 2)
-        g1, g2 = montecarlo._complex_batch(rng, s, n)
-        r1, r2 = np.abs(g1), np.abs(g2)
-        xmax = rng.generator.rayleigh(s.sigma1, (n, s.M - 1)).max(axis=1)
-        ymax = rng.generator.rayleigh(s.sigma2, (n, s.N - 1)).max(axis=1)
-        expected = (
-            int(np.count_nonzero((r1 > xmax) & (r2 > ymax))),
-            int(np.count_nonzero((xmax > r1) & (ymax > r2))),
-        )
-        assert montecarlo._run_batch(RngStream(6, 2), s, n) == expected
+    @pytest.mark.parametrize("pulses, subpulses", [(1, 1), (1, 8), (7, 8), (31, 32)])
+    def test_batch_is_the_competitor_cdf_at_the_target_envelopes(self, pulses, subpulses):
+        s = from_snr(10.0, 0.5, 0.99, pulses, subpulses)
+        n = 5000
+        g1, g2 = montecarlo._complex_batch(RngStream(6, 2), s, n)
+        f1 = 1.0 - np.exp(-np.abs(g1) ** 2 / (2.0 * s.sigma1 ** 2))
+        f2 = 1.0 - np.exp(-np.abs(g2) ** 2 / (2.0 * s.sigma2 ** 2))
+        win = f1 ** (pulses - 1) * f2 ** (subpulses - 1)
+        lose = (1.0 - f1 ** (pulses - 1)) * (1.0 - f2 ** (subpulses - 1))
+        pd, pfa = montecarlo._run_batch(RngStream(6, 2), s, n)
+        np.testing.assert_allclose(pd, win, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pfa, lose, rtol=0.0, atol=1e-12)
+        if pulses == 1:
+            assert (pfa == 0.0).all()
+        if pulses == subpulses == 1:
+            assert (pd == 1.0).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -195,8 +194,10 @@ class TestEstimate:
             McConfig(stats=reference_stats(), seed=-3)
         with pytest.raises(ValueError, match="seed must be an integer"):
             McConfig(stats=reference_stats(), seed=2.5)
+        with pytest.raises(ValueError, match="row must be non-negative"):
+            McConfig(stats=reference_stats(), seed=0, row=-1)
 
-    @pytest.mark.parametrize("field", ["trials", "batch_size"])
+    @pytest.mark.parametrize("field", ["trials", "batch_size", "row"])
     @pytest.mark.parametrize("value", [2.5, 1000.9, math.nan, math.inf])
     def test_non_integral_count_is_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):

@@ -246,7 +246,9 @@ class TestRngAndGaussian:
         b = RngStream(42, 1)
         assert a.generator.normal(0.0, 0.5) != b.generator.normal(0.0, 0.5)
 
-    @pytest.mark.parametrize("seed, stream_id, name", [(-1, 0, "seed"), (3, -2, "stream_id")])
+    @pytest.mark.parametrize("seed, stream_id, name", [
+        (-1, 0, "seed"), (3, -2, "stream_id"), (3, (0, -2), "stream_id"),
+    ])
     def test_negative_address_is_refused_by_name(self, seed, stream_id, name):
         with pytest.raises(ValueError, match=name):
             RngStream(seed, stream_id)
@@ -256,6 +258,7 @@ class TestRngAndGaussian:
         (math.nan, 0, "seed"),
         (3, 1.5, "stream_id"),
         (3, math.inf, "stream_id"),
+        (3, (1, 1.5), "stream_id"),
     ])
     def test_non_integral_address_is_refused_by_name(self, seed, stream_id, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
