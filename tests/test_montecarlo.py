@@ -96,12 +96,6 @@ class TestEstimate:
         assert est.stderr_pd == pytest.approx(np.std(pd) / math.sqrt(trials), rel=1e-12)
         assert est.stderr_pfa == pytest.approx(np.std(pfa) / math.sqrt(trials), rel=1e-12)
 
-    def test_rows_draw_from_disjoint_streams(self):
-        s = reference_stats()
-        row1_seed7 = estimate(McConfig(stats=s, seed=7, trials=4096, row=1))
-        row0_seed8 = estimate(McConfig(stats=s, seed=8, trials=4096, row=0))
-        assert row1_seed7.pd_hat != row0_seed8.pd_hat
-
     def test_doubling_trials_halves_the_variance(self):
         # ratio / 2 follows F(1199, 1199) under a correct sampler, so the
         # 1.6-2.4 gate holds with probability 0.999
