@@ -179,6 +179,23 @@ class TestEstimate:
         if pulses == subpulses == 1:
             assert (pd == 1.0).all()
 
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("k", [0, 1, 30])
+    def test_sliced_exponential_max_equals_the_rayleigh_row_max(self, k, n):
+        # the F^k that replaces the drawn competitors is the law of their row
+        # max: at each drawn max it is a uniform variate (probability integral
+        # transform), and an empty row (max -inf) is beaten with certainty
+        xmax = np.random.default_rng(8).rayleigh(0.7, (n, k)).max(axis=1, initial=-np.inf)
+        win, lose = montecarlo._win_lose(xmax, 0.7, k)
+        if k == 0:
+            assert (win == 1.0).all() and (lose == 0.0).all()
+            return
+        np.testing.assert_allclose(win + lose, 1.0, rtol=0.0, atol=1e-15)
+        assert ((win >= 0.0) & (win <= 1.0)).all()
+        assert abs(win.mean() - 0.5) <= 5.0 * math.sqrt(1.0 / (12.0 * n))
+        tails = np.count_nonzero(win <= 0.25)
+        assert abs(tails - 0.25 * n) <= 5.0 * math.sqrt(0.25 * 0.75 * n)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(stats=reference_stats(), seed=0, trials=0)
