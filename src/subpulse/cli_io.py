@@ -18,9 +18,9 @@ import json
 import math
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy
@@ -55,8 +55,6 @@ __all__ = [
     "main",
 ]
 
-MODES = ("pd_sweep", "pfa_sweep", "fused_sweep", "mc_validate", "ccrt_check", "simulate")
-
 # Fixed, documented column order per mode. Tests pin these.
 SCHEMAS = {
     "pd_sweep": (
@@ -83,6 +81,7 @@ SCHEMAS = {
         "fused_bin", "fused_doppler_hz", "velocity_mps", "all_detected",
     ),
 }
+MODES = tuple(SCHEMAS)
 
 _ORACLE_TOL = 1e-6  # closed form vs quadrature, absolute
 _MC_Z_LIMIT = 5.0
@@ -104,8 +103,8 @@ class ExperimentConfig:
     snr_step_db: Optional[float] = None
     snr_scale: float = SNR_SCALE_DEFAULT
     fusion: Optional[FusionRule] = None
-    mc_trials: int = 10**6
-    mc_batch: int = 1 << 16
+    mc_trials: int = McConfig.trials
+    mc_batch: int = McConfig.batch_size
     seed: Optional[int] = None
     radar: Optional[RadarSetup] = None
     target: Optional[TargetTruth] = None
@@ -120,6 +119,9 @@ class ExperimentConfig:
             return ()
         count = int(math.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
         return tuple(self.snr_start_db + i * self.snr_step_db for i in range(count))
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 @dataclass(frozen=True)
@@ -250,12 +252,12 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
     raw["mode"] = effective
 
     channels = _parse_channels(raw)
-    lambda1 = _need(raw, "lambda1", float, default=0.5)
-    lambda2 = _need(raw, "lambda2", float, default=0.99)
+    lambda1 = _need(raw, "lambda1", float, default=_DEFAULTS["lambda1"])
+    lambda2 = _need(raw, "lambda2", float, default=_DEFAULTS["lambda2"])
     for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
         if not 0.0 < lam < 1.0:
             raise ConfigError(f"field '{name}' must lie strictly between 0 and 1, got {lam}")
-    snr_scale = _need(raw, "snr_scale", float, default=SNR_SCALE_DEFAULT)
+    snr_scale = _need(raw, "snr_scale", float, default=_DEFAULTS["snr_scale"])
     if snr_scale <= 0:
         raise ConfigError(f"field 'snr_scale' must be positive, got {snr_scale}")
 
@@ -285,8 +287,8 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
             raise ConfigError(f"fusion: {err}") from err
 
     mc_section = _need(raw, "mc", dict, default={})
-    mc_trials = _need(mc_section, "trials", int, default=10**6)
-    mc_batch = _need(mc_section, "batch_size", int, default=1 << 16)
+    mc_trials = _need(mc_section, "trials", int, default=_DEFAULTS["mc_trials"])
+    mc_batch = _need(mc_section, "batch_size", int, default=_DEFAULTS["mc_batch"])
     mc_seed = _need(mc_section, "seed", int)
     seed = _need(raw, "seed", int, default=mc_seed)
     for name, value in (("mc.seed", mc_seed), ("seed", seed)):
@@ -306,13 +308,11 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
             "(set 'seed' or 'mc.seed' in the config, or pass --seed)"
         )
 
-    radar = None
-    target = None
-    noise_sigma = 0.0
-    spacing_tolerance = 0.0
-    export_map_files = False
+    simulated = {}
     if effective == "simulate":
-        spacing_tolerance = _need(raw, "spacing_tolerance_hz", float, default=0.0)
+        spacing_tolerance = _need(
+            raw, "spacing_tolerance_hz", float, default=_DEFAULTS["spacing_tolerance_hz"]
+        )
         if spacing_tolerance < 0:
             raise ConfigError(
                 f"field 'spacing_tolerance_hz' must be >= 0, got {spacing_tolerance}"
@@ -321,21 +321,25 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         section = _need(raw, "target", dict, default={})
         range_m = _need(section, "range_m", float, default=10_000.0)
         velocity = _need(section, "velocity_mps", float, default=-900.0)
-        amplitude = _need(section, "amplitude", float, default=1.0)
-        if range_m <= 0:
-            raise ConfigError(f"target.range_m must be positive, got {range_m}")
+        amplitude = _need(section, "amplitude", float, default=TargetTruth.amplitude)
         try:
             target = TargetTruth(
                 range_m=range_m, radial_velocity_mps=velocity, amplitude=amplitude
             )
         except ValueError as err:
             raise ConfigError(f"target: {err}") from err
-        noise_sigma = _need(raw, "noise_sigma", float, default=0.0)
+        noise_sigma = _need(raw, "noise_sigma", float, default=_DEFAULTS["noise_sigma"])
         if noise_sigma < 0:
             raise ConfigError(f"field 'noise_sigma' must be >= 0, got {noise_sigma}")
-        export_map_files = _need(raw, "export_maps", bool, default=False)
+        simulated = dict(
+            radar=radar,
+            target=target,
+            noise_sigma=noise_sigma,
+            spacing_tolerance_hz=spacing_tolerance,
+            export_map_files=_need(raw, "export_maps", bool, default=_DEFAULTS["export_map_files"]),
+        )
 
-    output_path = _need(raw, "output_path", str, default="results.csv")
+    output_path = _need(raw, "output_path", str, default=_DEFAULTS["output_path"])
     if not output_path:
         raise ConfigError("field 'output_path' must be a non-empty path")
 
@@ -352,13 +356,9 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         mc_trials=mc_trials,
         mc_batch=mc_batch,
         seed=seed,
-        radar=radar,
-        target=target,
-        noise_sigma=noise_sigma,
-        spacing_tolerance_hz=spacing_tolerance,
-        export_map_files=export_map_files,
         output_path=output_path,
         raw=raw,
+        **simulated,
     )
 
 
@@ -667,6 +667,23 @@ _SUBCOMMANDS = {
 }
 
 
+# Override flags as (flag, config path, type, help, simulate only). type bool
+# is a switch that sets True.
+_FLAGS = (
+    ("--output", ("output_path",), str, "override output_path", False),
+    ("--seed", ("seed",), int, "override the run seed", False),
+    ("--trials", ("mc", "trials"), int, "override mc.trials", False),
+    ("--batch-size", ("mc", "batch_size"), int, "override mc.batch_size", False),
+    ("--snr-scale", ("snr_scale",), float, "override snr_scale", False),
+    ("--noise-sigma", ("noise_sigma",), float, "override noise_sigma", True),
+    ("--tolerance-hz", ("spacing_tolerance_hz",), float,
+     "allow unequal bin spacings up to this spread (coincidence mode)", True),
+    ("--velocity-mps", ("target", "velocity_mps"), float, "override target.velocity_mps", True),
+    ("--range-m", ("target", "range_m"), float, "override target.range_m", True),
+    ("--export-maps", ("export_maps",), bool, "write map files", True),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subpulse",
@@ -677,51 +694,27 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, mode in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=f"run the {mode} experiment")
         p.add_argument("config", help="path to the JSON config file")
-        p.add_argument("--output", help="override output_path")
-        p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--trials", type=int, help="override mc.trials")
-        p.add_argument("--batch-size", type=int, help="override mc.batch_size")
-        p.add_argument("--snr-scale", type=float, help="override snr_scale")
-        if mode == "simulate":
-            p.add_argument("--noise-sigma", type=float, help="override noise_sigma")
-            p.add_argument(
-                "--tolerance-hz", type=float, dest="tolerance_hz",
-                help="allow unequal bin spacings up to this spread (coincidence mode)",
-            )
-            p.add_argument("--velocity-mps", type=float, help="override target.velocity_mps")
-            p.add_argument("--range-m", type=float, help="override target.range_m")
-            p.add_argument("--export-maps", action="store_true", help="write map files")
+        for flag, _, kind, text, simulate_only in _FLAGS:
+            if simulate_only and mode != "simulate":
+                continue
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(flag, type=kind, help=text)
     return parser
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     raw = dict(raw)
-    if args.output is not None:
-        raw["output_path"] = args.output
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.trials is not None or args.batch_size is not None:
-        mc = dict(_need(raw, "mc", dict, default={}))
-        if args.trials is not None:
-            mc["trials"] = args.trials
-        if args.batch_size is not None:
-            mc["batch_size"] = args.batch_size
-        raw["mc"] = mc
-    if args.snr_scale is not None:
-        raw["snr_scale"] = args.snr_scale
-    if getattr(args, "noise_sigma", None) is not None:
-        raw["noise_sigma"] = args.noise_sigma
-    target_keys = (("velocity_mps", "velocity_mps"), ("range_m", "range_m"))
-    for attr, key in target_keys:
-        value = getattr(args, attr, None)
-        if value is not None:
-            target = dict(_need(raw, "target", dict, default={}))
-            target[key] = value
-            raw["target"] = target
-    if getattr(args, "tolerance_hz", None) is not None:
-        raw["spacing_tolerance_hz"] = args.tolerance_hz
-    if getattr(args, "export_maps", False):
-        raw["export_maps"] = True
+    for flag, path, _, _, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if len(path) == 1:
+            raw[path[0]] = value
+        else:
+            section, key = path
+            raw[section] = {**_need(raw, section, dict, default={}), key: value}
     return raw
 
 

@@ -22,7 +22,6 @@ when mapping an SNR axis onto model parameters.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,8 +81,9 @@ class ChannelStats:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, value)
         for name in ("sigma1", "sigma2"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             # endpoints are singular: 0 removes the shared component, 1 the
@@ -108,12 +108,6 @@ class ChannelStats:
     def omega2_sq(self) -> float:
         """Per-component conditional variance of the subpulse-domain envelope."""
         return self.sigma2 ** 2 * (1.0 - self.lambda2 ** 2) / 2.0
-
-    @cached_property
-    def xi(self) -> float:
-        l1 = self.lambda1 ** 2
-        l2 = self.lambda2 ** 2
-        return 1.0 + l1 / (1.0 - l1) + l2 / (1.0 - l2)
 
 
 @dataclass(frozen=True)
@@ -312,9 +306,10 @@ def pfa_oracle(stats: ChannelStats) -> float:
 def combine_m_of_l(per_channel: Sequence, rule: FusionRule) -> float:
     """Fused event probability under an at-least-`required`-of-`total` rule.
 
-    Sums, over every qualifying channel subset, the product of per-channel
-    hit probabilities times the complements of the rest. With required ==
-    total this reduces exactly to the plain product.
+    The hit count of independent channels is Poisson-binomial: convolving
+    in one channel at a time gives its distribution in O(L^2), and the
+    fused probability is the tail from `required`. With required == total
+    the tail is the single top entry, the plain product in channel order.
     """
     probs = [float(p) for p in per_channel]
     if len(probs) != rule.total:
@@ -324,13 +319,7 @@ def combine_m_of_l(per_channel: Sequence, rule: FusionRule) -> float:
     for p in probs:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"per-channel probabilities must lie in [0, 1], got {p!r}")
-    indices = range(rule.total)
-    total = 0.0
-    for size in range(rule.required, rule.total + 1):
-        for hits in itertools.combinations(indices, size):
-            hit_set = frozenset(hits)
-            product = 1.0
-            for i in indices:
-                product *= probs[i] if i in hit_set else 1.0 - probs[i]
-            total += product
-    return min(max(total, 0.0), 1.0)
+    counts = np.ones(1)
+    for p in probs:
+        counts = np.convolve(counts, [1.0 - p, p])
+    return min(max(math.fsum(counts[rule.required :].tolist()), 0.0), 1.0)

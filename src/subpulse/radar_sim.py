@@ -71,13 +71,11 @@ DETECTION_THRESHOLD = 3.0
 class RadarSetup:
     """Waveform and channel-set description.
 
-    wavelength_m must agree with SPEED_OF_LIGHT / carrier_hz to 1e-6
-    relative; use :meth:`build` to fill it (and the default sample rate of
-    4x bandwidth) automatically.
+    The wavelength is derived from the carrier; use :meth:`build` for the
+    default sample rate of 4x bandwidth.
     """
 
     carrier_hz: float
-    wavelength_m: float
     pulse_width_s: float
     bandwidth_hz: float
     sample_rate_hz: float
@@ -99,13 +97,6 @@ class RadarSetup:
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise ValueError(
                 f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz!r}"
-            )
-        nominal = SPEED_OF_LIGHT / self.carrier_hz
-        # written so that a NaN wavelength fails it too
-        if not abs(self.wavelength_m - nominal) <= 1e-6 * nominal:
-            raise ValueError(
-                f"wavelength_m {self.wavelength_m!r} does not match "
-                f"c/carrier_hz = {nominal!r} (1e-6 relative tolerance)"
             )
         if self.sample_rate_hz < 2.0 * self.bandwidth_hz:
             raise ValueError(
@@ -129,12 +120,15 @@ class RadarSetup:
             sample_rate_hz = 4.0 * bandwidth_hz
         return cls(
             carrier_hz=float(carrier_hz),
-            wavelength_m=SPEED_OF_LIGHT / float(carrier_hz),
             pulse_width_s=float(pulse_width_s),
             bandwidth_hz=float(bandwidth_hz),
             sample_rate_hz=float(sample_rate_hz),
             channels=tuple(channels),
         )
+
+    @property
+    def wavelength_m(self) -> float:
+        return SPEED_OF_LIGHT / self.carrier_hz
 
     @property
     def replica_length(self) -> int:
@@ -233,21 +227,7 @@ def split_subpulses(replica: Sequence, n: int) -> list:
         raise ValueError(f"cannot split {arr.size} samples into {n} subpulses")
     base, rem = divmod(arr.size, n)
     lengths = [base] * (n - rem) + [base + 1] * rem
-    out = []
-    start = 0
-    for length in lengths:
-        out.append(arr[start : start + length])
-        start += length
-    return out
-
-
-def _segment_offsets(segments) -> list:
-    offsets = []
-    pos = 0
-    for seg in segments:
-        offsets.append(pos)
-        pos += len(seg)
-    return offsets
+    return np.split(arr, np.cumsum(lengths)[:-1])
 
 
 def synth_echo(
@@ -286,8 +266,8 @@ def synth_echo(
         )
     f_d = velocity_to_doppler(truth.radial_velocity_mps, setup.wavelength_m)
     pulses = np.arange(channel.num_pulses)[:, None]
-    segments = split_subpulses(replica, channel.num_subpulses)
-    starts = np.repeat(_segment_offsets(segments), [len(s) for s in segments])
+    lengths = [len(s) for s in split_subpulses(replica, channel.num_subpulses)]
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     t_fast = (delay + starts)[None, :] / setup.sample_rate_hz
     phase = np.exp(2j * math.pi * f_d * (pulses / channel.prf + t_fast))
     rx = np.zeros((channel.num_pulses, window), dtype=np.complex128)
@@ -324,9 +304,10 @@ def compress_sp(rx_per_pulse, subpulse_replicas) -> np.ndarray:
     segments = [np.asarray(s) for s in subpulse_replicas]
     if not segments or min(seg.size for seg in segments) == 0:
         raise ValueError("every subpulse replica must be non-empty")
-    kernels = np.zeros((len(segments), sum(seg.size for seg in segments)), dtype=np.complex128)
-    for row, seg, off in zip(kernels, segments, _segment_offsets(segments)):
-        row[off : off + seg.size] = seg
+    sizes = [seg.size for seg in segments]
+    kernels = np.zeros((len(segments), sum(sizes)), dtype=np.complex128)
+    for row, seg, start in zip(kernels, segments, np.cumsum(sizes) - sizes):
+        row[start : start + seg.size] = seg
     return matched_filter(rx_per_pulse, kernels)
 
 

@@ -130,6 +130,21 @@ class TestDetectionSweeps:
         assert "M=7, N=8" in failure and "gap 1.000e-03" in failure
 
 
+# (subcommand, flag, argument, value expected at the flag's config path)
+FLAG_CASES = [
+    ("ccrt-check", "--output", "moved.csv", "moved.csv"),
+    ("ccrt-check", "--seed", "42", 42),
+    ("ccrt-check", "--trials", "1234", 1234),
+    ("ccrt-check", "--batch-size", "99", 99),
+    ("ccrt-check", "--snr-scale", "0.25", 0.25),
+    ("simulate", "--noise-sigma", "0.01", 0.01),
+    ("simulate", "--tolerance-hz", "0.5", 0.5),
+    ("simulate", "--velocity-mps", "-500", -500.0),
+    ("simulate", "--range-m", "9000", 9000.0),
+    ("simulate", "--export-maps", None, True),
+]
+
+
 class TestManifest:
     def test_manifest_records_the_run_and_hashes_the_csv(self, tmp_path):
         config = sweep_config(tmp_path, "m.csv", seed=11, mc={"trials": 4000, "batch_size": 512})
@@ -155,6 +170,41 @@ class TestManifest:
         assert manifest["config"]["output_path"] == str(out)
         assert manifest["config"]["snr_scale"] == 0.25
         assert out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, expected", FLAG_CASES)
+    def test_every_flag_lands_at_its_config_path(
+        self, tmp_path, monkeypatch, command, flag, value, expected
+    ):
+        monkeypatch.chdir(tmp_path)
+        if command == "simulate":
+            config = radar_config(tmp_path, "f.csv", seed=3, output_path="f.csv")
+        else:
+            config = write_config(tmp_path, "f.json", {
+                "channels": [{"pulses": 3}, {"pulses": 5}], "output_path": "f.csv",
+            })
+        argv = [command, config, flag] + ([] if value is None else [value])
+        assert main(argv) == 0
+        output = value if flag == "--output" else "f.csv"
+        echoed = json.loads((tmp_path / f"{output}.manifest.json").read_text())["config"]
+        (path,) = [path for name, path, *_ in cli_io._FLAGS if name == flag]
+        for key in path:
+            echoed = echoed[key]
+        assert echoed == expected
+
+    def test_the_flag_cases_cover_every_flag(self):
+        assert sorted(case[1] for case in FLAG_CASES) == sorted(name for name, *_ in cli_io._FLAGS)
+
+    @pytest.mark.parametrize("command", ["pd", "pfa", "fused", "mc", "ccrt-check"])
+    def test_simulate_only_flags_are_refused_elsewhere(self, tmp_path, capsys, command):
+        config = sweep_config(tmp_path, "s.csv", seed=1)
+        simulate_only = [(flag, kind) for flag, _, kind, _, only in cli_io._FLAGS if only]
+        assert len(simulate_only) == 5
+        for flag, kind in simulate_only:
+            with pytest.raises(SystemExit) as info:
+                main([command, config, flag] + ([] if kind is bool else ["1"]))
+            assert info.value.code == 2
+            assert flag in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestMonteCarloMode:

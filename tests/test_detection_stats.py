@@ -7,6 +7,7 @@ asserted here: the quadrature oracle for the closed forms, and a
 """
 
 import math
+import time
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -62,8 +63,15 @@ class TestChannelStats:
         assert s.m == pytest.approx(25.0)
         assert s.omega1_sq == pytest.approx(1.5 ** 2 * (1 - 0.25) / 2)
         assert s.omega2_sq == pytest.approx(0.8 ** 2 * (1 - 0.81) / 2)
-        assert s.xi == pytest.approx(1 + 0.25 / 0.75 + 0.81 / 0.19)
-        assert s.xi >= 1.0
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["sigma1", "sigma2"])
+    def test_noise_scale_must_be_finite_and_positive(self, field, value):
+        fields = dict(sigma1=1.0, sigma2=1.0, lambda1=0.5, lambda2=0.99,
+                      m_re=1.0, m_im=0.0, M=7, N=8)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ChannelStats(**fields)
 
     def test_loadings_must_be_strictly_inside_unit_interval(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
@@ -157,7 +165,8 @@ class TestOracles:
         assert abs(pfa_oracle(s) - pfa_hat) <= 3 * pfa_se
 
 
-# loadings near the kernel's edge, where P - 1 = xi - c1/q1 - c2/q2 cancels
+# loadings near the kernel's edge, where P - 1 written as
+# c1 + c2 - c1/q1 - c2/q2, with c_i = lam_i^2 / (1 - lam_i^2), cancels
 EDGE_LOADINGS = [(0.001, 0.9999), (0.001, 0.999999)]
 # the perfbench stats sweep pool
 POOL_PULSES = (7, 11, 13, 17, 19, 23, 29, 31)
@@ -241,7 +250,7 @@ class TestFusion:
     def test_unanimous_rule_is_the_product(self):
         probs = [0.3, 0.7, 0.2, 0.9]
         got = combine_m_of_l(probs, FusionRule(required=4, total=4))
-        assert got == pytest.approx(0.3 * 0.7 * 0.2 * 0.9, rel=1e-12)
+        assert got == 0.3 * 0.7 * 0.2 * 0.9
 
     def test_one_of_two_enumeration(self):
         assert combine_m_of_l([0.9, 0.8], FusionRule(1, 2)) == pytest.approx(0.98, rel=1e-12)
@@ -275,6 +284,20 @@ class TestFusion:
             total += weight
         got = combine_m_of_l(probs, FusionRule(required, len(probs)))
         assert got == pytest.approx(total, abs=1e-12)
+
+    def test_many_equal_channels_give_the_binomial_tail_quickly(self):
+        # from the unanimous rule down, so a cost that grows with the number
+        # of qualifying subsets trips the 1 s budget within seconds
+        total, p = 24, 0.37
+        start = time.perf_counter()
+        for required in range(total, 0, -1):
+            got = combine_m_of_l([p] * total, FusionRule(required, total))
+            assert time.perf_counter() - start < 1.0, f"over budget at required={required}"
+            tail = math.fsum(
+                math.comb(total, k) * p ** k * (1.0 - p) ** (total - k)
+                for k in range(required, total + 1)
+            )
+            assert got == pytest.approx(tail, abs=1e-12)
 
 
 class TestStructuralProperties:

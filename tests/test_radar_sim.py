@@ -71,8 +71,7 @@ class TestWaveform:
 
     def test_setup_validation(self):
         ch = [PrfChannel(prf=1000.0, num_pulses=4)]
-        with pytest.raises(ValueError):
-            RadarSetup(6e9, 0.051, 25e-6, 2e6, 8e6, ch)  # wavelength off nominal
+        assert RadarSetup.build(6e9, 25e-6, 2e6, ch).wavelength_m == SPEED_OF_LIGHT / 6e9
         with pytest.raises(ValueError):
             RadarSetup.build(6e9, 25e-6, 2e6, ch, sample_rate_hz=3e6)  # under Nyquist
         with pytest.raises(ValueError):
