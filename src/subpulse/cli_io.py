@@ -400,53 +400,62 @@ def _rows_prob_sweep(config: ExperimentConfig, which: str, failures: list):
     closed_fn = pd_closed_form if which == "pd" else pfa_closed_form
     oracle_fn = pd_oracle if which == "pd" else pfa_oracle
     use_mc = "mc" in config.raw
-    for snr_db in config.snr_grid():
-        for index, (pulses, subpulses) in enumerate(config.channels):
-            stats = _stats_for(config, snr_db, pulses, subpulses)
-            closed = closed_fn(stats)
-            oracle = oracle_fn(stats)
-            if abs(closed - oracle) > _ORACLE_TOL:
+    grid = [
+        (snr_db, index, pulses, subpulses)
+        for snr_db in config.snr_grid()
+        for index, (pulses, subpulses) in enumerate(config.channels)
+    ]
+    points = [_stats_for(config, snr_db, p, n) for snr_db, _, p, n in grid]
+    closed_all = closed_fn(points)
+    oracle_all = oracle_fn(points)
+    for (snr_db, index, pulses, subpulses), stats, closed, oracle in zip(
+        grid, points, closed_all, oracle_all
+    ):
+        if abs(closed - oracle) > _ORACLE_TOL:
+            failures.append(
+                f"{which} closed-form vs oracle disagree at snr={snr_db} dB, "
+                f"M={pulses}, N={subpulses}: {closed!r} vs {oracle!r} "
+                f"(gap {abs(closed - oracle):.3e})"
+            )
+        mc_val = mc_err = None
+        if use_mc:
+            est = _mc_for(config, stats, len(rows))
+            mc_val = est.pd_hat if which == "pd" else est.pfa_hat
+            mc_err = est.stderr_pd if which == "pd" else est.stderr_pfa
+            if abs(mc_val - closed) > _MC_Z_LIMIT * mc_err + 10.0 / config.mc_trials:
                 failures.append(
-                    f"{which} closed-form vs oracle disagree at snr={snr_db} dB, "
-                    f"M={pulses}, N={subpulses}: {closed!r} vs {oracle!r} "
-                    f"(gap {abs(closed - oracle):.3e})"
+                    f"{which} Monte Carlo disagrees at snr={snr_db} dB, M={pulses}, "
+                    f"N={subpulses}: {mc_val!r} vs closed {closed!r} (stderr {mc_err!r}, "
+                    f"gap {abs(mc_val - closed):.3e})"
                 )
-            mc_val = mc_err = None
-            if use_mc:
-                est = _mc_for(config, stats, len(rows))
-                mc_val = est.pd_hat if which == "pd" else est.pfa_hat
-                mc_err = est.stderr_pd if which == "pd" else est.stderr_pfa
-                if abs(mc_val - closed) > _MC_Z_LIMIT * mc_err + 10.0 / config.mc_trials:
-                    failures.append(
-                        f"{which} Monte Carlo disagrees at snr={snr_db} dB, M={pulses}, "
-                        f"N={subpulses}: {mc_val!r} vs closed {closed!r} (stderr {mc_err!r}, "
-                        f"gap {abs(mc_val - closed):.3e})"
-                    )
-            rows.append({
-                "snr1_db": snr_db,
-                "channel": index,
-                "pulses": pulses,
-                "subpulses": subpulses,
-                f"{which}_closed": closed,
-                f"{which}_oracle": oracle,
-                f"{which}_mc": mc_val,
-                f"{which}_mc_stderr": mc_err,
-            })
+        rows.append({
+            "snr1_db": snr_db,
+            "channel": index,
+            "pulses": pulses,
+            "subpulses": subpulses,
+            f"{which}_closed": closed,
+            f"{which}_oracle": oracle,
+            f"{which}_mc": mc_val,
+            f"{which}_mc_stderr": mc_err,
+        })
     return rows
 
 
 def _rows_fused(config: ExperimentConfig, failures: list):
     rows = []
     rule = config.fusion or FusionRule(len(config.channels), len(config.channels))
-    for snr_db in config.snr_grid():
-        stats_list = [
-            _stats_for(config, snr_db, pulses, subpulses)
-            for pulses, subpulses in config.channels
-        ]
-        pd_c = combine_m_of_l([pd_closed_form(s) for s in stats_list], rule)
-        pd_o = combine_m_of_l([pd_oracle(s) for s in stats_list], rule)
-        pfa_c = combine_m_of_l([pfa_closed_form(s) for s in stats_list], rule)
-        pfa_o = combine_m_of_l([pfa_oracle(s) for s in stats_list], rule)
+    grid = config.snr_grid()
+    points = [
+        _stats_for(config, snr_db, pulses, subpulses)
+        for snr_db in grid
+        for pulses, subpulses in config.channels
+    ]
+    per_point = [fn(points) for fn in (pd_closed_form, pd_oracle, pfa_closed_form, pfa_oracle)]
+    width = len(config.channels)
+    for i, snr_db in enumerate(grid):
+        pd_c, pd_o, pfa_c, pfa_o = (
+            combine_m_of_l(values[i * width:(i + 1) * width], rule) for values in per_point
+        )
         if abs(pd_c - pd_o) > _ORACLE_TOL or abs(pfa_c - pfa_o) > _ORACLE_TOL:
             failures.append(
                 f"fused closed-form vs oracle disagree at snr={snr_db} dB: "
@@ -667,20 +676,26 @@ _SUBCOMMANDS = {
 }
 
 
-# Override flags as (flag, config path, type, help, simulate only). type bool
-# is a switch that sets True.
+# Override flags as (flag, config path, type, help, modes that read it). type
+# bool is a switch that sets True. A subcommand offers only the flags its mode
+# reads, so argparse refuses the rest with exit 2. The Monte Carlo fields are
+# read by the sweeps that can run it (pd and pfa turn it on when the config
+# has an `mc` section).
+_MC_MODES = frozenset({"pd_sweep", "pfa_sweep", "mc_validate"})
+_SIMULATE = frozenset({"simulate"})
 _FLAGS = (
-    ("--output", ("output_path",), str, "override output_path", False),
-    ("--seed", ("seed",), int, "override the run seed", False),
-    ("--trials", ("mc", "trials"), int, "override mc.trials", False),
-    ("--batch-size", ("mc", "batch_size"), int, "override mc.batch_size", False),
-    ("--snr-scale", ("snr_scale",), float, "override snr_scale", False),
-    ("--noise-sigma", ("noise_sigma",), float, "override noise_sigma", True),
+    ("--output", ("output_path",), str, "override output_path", frozenset(MODES)),
+    ("--seed", ("seed",), int, "override the run seed", _MC_MODES | _SIMULATE),
+    ("--trials", ("mc", "trials"), int, "override mc.trials", _MC_MODES),
+    ("--batch-size", ("mc", "batch_size"), int, "override mc.batch_size", _MC_MODES),
+    ("--snr-scale", ("snr_scale",), float, "override snr_scale", _MC_MODES | {"fused_sweep"}),
+    ("--noise-sigma", ("noise_sigma",), float, "override noise_sigma", _SIMULATE),
     ("--tolerance-hz", ("spacing_tolerance_hz",), float,
-     "allow unequal bin spacings up to this spread (coincidence mode)", True),
-    ("--velocity-mps", ("target", "velocity_mps"), float, "override target.velocity_mps", True),
-    ("--range-m", ("target", "range_m"), float, "override target.range_m", True),
-    ("--export-maps", ("export_maps",), bool, "write map files", True),
+     "allow unequal bin spacings up to this spread (coincidence mode)", _SIMULATE),
+    ("--velocity-mps", ("target", "velocity_mps"), float, "override target.velocity_mps",
+     _SIMULATE),
+    ("--range-m", ("target", "range_m"), float, "override target.range_m", _SIMULATE),
+    ("--export-maps", ("export_maps",), bool, "write map files", _SIMULATE),
 )
 
 
@@ -694,8 +709,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, mode in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=f"run the {mode} experiment")
         p.add_argument("config", help="path to the JSON config file")
-        for flag, _, kind, text, simulate_only in _FLAGS:
-            if simulate_only and mode != "simulate":
+        for flag, _, kind, text, modes in _FLAGS:
+            if mode not in modes:
                 continue
             if kind is bool:
                 p.add_argument(flag, action="store_true", default=None, help=text)

@@ -12,7 +12,8 @@ maps, and raises a false alarm when it loses in both. This module provides
     bound exceeds 1e-6),
   * quadrature oracles that evaluate the same probabilities directly from
     the conditional representation (used to validate the closed forms), one
-    call of the vectorised rule in `numerics` each, and
+    call of the vectorised rule in `numerics` over every point asked for,
+    and
   * M-of-L fusion of per-channel probabilities.
 
 All probabilities depend on (sigma1, sigma2, m_re, m_im) only through scale
@@ -146,13 +147,27 @@ def from_snr(
     tests; the literal small-signal substitution corresponds to
     snr_scale = 2 / lambda1**2 and drives m roughly an order of magnitude
     harder at the same axis value (pass it explicitly to get that behaviour).
+    snr1_db = -inf is a silent target (m = 0); a nan snr1_db, or one whose m
+    overflows float64, is refused by name, as is a snr_scale that is not
+    finite and positive.
     """
     M = _integral(M, "M")
     N = _integral(N, "N")
-    if snr_scale <= 0:
-        raise ValueError(f"snr_scale must be positive, got {snr_scale!r}")
-    snr_linear = 10.0 ** (float(snr1_db) / 10.0)
+    if not (math.isfinite(snr_scale) and snr_scale > 0):
+        raise ValueError(f"snr_scale must be finite and positive, got {snr_scale!r}")
+    snr1_db = float(snr1_db)
+    if math.isnan(snr1_db):
+        raise ValueError(f"snr1_db must be a number, got {snr1_db!r}")
+    try:
+        snr_linear = 10.0 ** (snr1_db / 10.0)
+    except OverflowError:
+        snr_linear = math.inf
     m = snr_scale * M * snr_linear
+    if m == math.inf:
+        raise ValueError(
+            f"snr1_db={snr1_db!r} puts the mean power beyond float64 "
+            f"(snr_scale={snr_scale!r}, M={M})"
+        )
     return ChannelStats(
         sigma1=math.sqrt(M),
         sigma2=math.sqrt(N),
@@ -171,17 +186,17 @@ def _log_binomials(n: int) -> np.ndarray:
     return np.array([math.log(math.comb(n, k)) for k in range(n + 1)])
 
 
-def _kernel_terms(stats: ChannelStats):
-    """Signed terms t_kl of the alternating double sum, and their error weights.
+def _each(stats, evaluate):
+    """evaluate(points) on one ChannelStats, giving a float, or on a sequence
+    of them, giving a tuple in order; an empty sequence never reaches it."""
+    if isinstance(stats, ChannelStats):
+        return evaluate([stats])[0]
+    points = list(stats)
+    return tuple(evaluate(points)) if points else ()
 
-    t_kl = (-1)^(k+l) C(M-1,k) C(N-1,l) / (q1 q2 P) * exp(-m (P-1)/P), with
-    q1 = 1 + k (1-lam1^2)/2, q2 = 1 + l (1-lam2^2)/2 and
-    P - 1 = k lam1^2/(2 q1) + l lam2^2/(2 q2) >= 0, which has no cancellation.
-    The weights are |t_kl| (A_kl + 2), where A_kl sums the magnitudes of the
-    pieces of the term's log (the log-binomials, log q1, log q2, log P and
-    m (P-1)/P, none negative); eps times their sum bounds the rounding of the
-    float64 sum.
-    """
+
+def _channel_kernel(stats: ChannelStats):
+    """The parts of the term array that do not depend on m, for (M, N, lam1, lam2)."""
     lam1_sq = stats.lambda1 ** 2
     lam2_sq = stats.lambda2 ** 2
     k = np.arange(stats.M, dtype=float)
@@ -192,12 +207,31 @@ def _kernel_terms(stats: ChannelStats):
     p = 1.0 + excess
     log_b1, log_b2 = _log_binomials(stats.M - 1), _log_binomials(stats.N - 1)
     log_q1, log_q2 = np.log(q1), np.log(q2)
-    shared = np.log(p) + stats.m * excess / p
-    magnitude = np.exp((log_b1 - log_q1)[:, None] + (log_b2 - log_q2) - shared)
-    pieces = (log_b1 + log_q1)[:, None] + (log_b2 + log_q2) + shared
     signs1 = np.where(k % 2 == 1.0, -1.0, 1.0)
     signs2 = np.where(l % 2 == 1.0, -1.0, 1.0)
-    return magnitude * signs1[:, None] * signs2, magnitude * (pieces + 2.0)
+    return (
+        excess, p, np.log(p),
+        (log_b1 - log_q1)[:, None] + (log_b2 - log_q2),
+        (log_b1 + log_q1)[:, None] + (log_b2 + log_q2),
+        signs1[:, None] * signs2,
+    )
+
+
+def _kernel_terms(stats: ChannelStats, kernel=None):
+    """Signed terms t_kl of the alternating double sum, and their error weights.
+
+    t_kl = (-1)^(k+l) C(M-1,k) C(N-1,l) / (q1 q2 P) * exp(-m (P-1)/P), with
+    q1 = 1 + k (1-lam1^2)/2, q2 = 1 + l (1-lam2^2)/2 and
+    P - 1 = k lam1^2/(2 q1) + l lam2^2/(2 q2) >= 0, which has no cancellation.
+    The weights are |t_kl| (A_kl + 2), where A_kl sums the magnitudes of the
+    pieces of the term's log (the log-binomials, log q1, log q2, log P and
+    m (P-1)/P, none negative); eps times their sum bounds the rounding of the
+    float64 sum. `kernel` is the channel's `_channel_kernel`, when at hand.
+    """
+    excess, p, log_p, log_scale, log_pieces, signs = kernel or _channel_kernel(stats)
+    shared = log_p + stats.m * excess / p
+    magnitude = np.exp(log_scale - shared)
+    return magnitude * signs, magnitude * (log_pieces + shared + 2.0)
 
 
 def _certified_sum(stats: ChannelStats, terms, weights, what: str) -> float:
@@ -218,30 +252,48 @@ def _certified_sum(stats: ChannelStats, terms, weights, what: str) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def pd_closed_form(stats: ChannelStats) -> float:
+def _closed_forms(points: list, block, what: str) -> list:
+    # the m-independent parts are built once per channel layout
+    kernels = {}
+    values = []
+    for stats in points:
+        key = (stats.M, stats.N, stats.lambda1, stats.lambda2)
+        if key not in kernels:
+            kernels[key] = _channel_kernel(stats)
+        terms, weights = _kernel_terms(stats, kernels[key])
+        values.append(_certified_sum(stats, terms[block], weights[block], what))
+    return values
+
+
+def pd_closed_form(stats):
     """Probability that the target bin wins both maps simultaneously.
 
     Closed form via binomial expansion of the competitor maxima and the
     square-law moment generating function of the conditional Rician pair.
     Equals 1 when M = N = 1 (no competitors). Raises NumericalDomainError
     when the bound on the float64 sum's rounding exceeds 1e-6.
+
+    `stats` is one ChannelStats, giving a float, or a sequence of them,
+    giving a tuple in order with the same values; a sequence raises the
+    error of the first point that fails.
     """
-    terms, weights = _kernel_terms(stats)
-    return _certified_sum(stats, terms, weights, "detection probability")
+    return _each(stats, lambda points: _closed_forms(points, np.s_[:, :], "detection probability"))
 
 
-def pfa_closed_form(stats: ChannelStats) -> float:
+def pfa_closed_form(stats):
     """Probability that the target bin loses in both maps simultaneously.
 
     Same terms as pd_closed_form restricted to k, l >= 1 (inclusion-
     exclusion over the two union events). Zero when either map has no
-    competitor bin. Raises NumericalDomainError as pd_closed_form does.
+    competitor bin. Raises NumericalDomainError, and takes one ChannelStats
+    or a sequence of them, as pd_closed_form does.
     """
-    terms, weights = _kernel_terms(stats)
-    return _certified_sum(stats, terms[1:, 1:], weights[1:, 1:], "false-alarm probability")
+    return _each(
+        stats, lambda points: _closed_forms(points, np.s_[1:, 1:], "false-alarm probability")
+    )
 
 
-def _log_shared_density(t: np.ndarray, m: float) -> np.ndarray:
+def _log_shared_density(t: np.ndarray, m) -> np.ndarray:
     # pdf of the shared component's power: exp(-t - m) * I0(2 sqrt(m t))
     return -t - m + bessel_i0_log(2.0 * np.sqrt(m * t))
 
@@ -273,34 +325,59 @@ def _mixture(mix, t: np.ndarray) -> np.ndarray:
     return (amp * np.exp(-t[:, None] * rate)).sum(axis=-1)
 
 
-def _oracle(stats: ChannelStats, lose: bool) -> float:
-    win1 = _conditional_win(stats.M - 1, stats.sigma1, stats.omega1_sq, stats.lambda1)
-    win2 = _conditional_win(stats.N - 1, stats.sigma2, stats.omega2_sq, stats.lambda2)
-    m = stats.m
+def _oracles(points: list, lose: bool) -> tuple:
+    """One call of the quadrature rule over every point.
 
-    def integrand(t):
-        w1, w2 = _mixture(win1, t), _mixture(win2, t)
-        if lose:
-            w1, w2 = 1.0 - w1, 1.0 - w2
-        return np.exp(_log_shared_density(t, m)) * w1 * w2
+    The two win mixtures do not depend on m, so each channel layout builds
+    them once and evaluates them once a round, over all of its nodes.
+    """
+    layouts, mixtures, channel = {}, [], []
+    for s in points:
+        key = (s.M, s.N, s.sigma1, s.sigma2, s.lambda1, s.lambda2)
+        if key not in layouts:
+            layouts[key] = len(mixtures)
+            mixtures.append((
+                _conditional_win(s.M - 1, s.sigma1, s.omega1_sq, s.lambda1),
+                _conditional_win(s.N - 1, s.sigma2, s.omega2_sq, s.lambda2),
+            ))
+        channel.append(layouts[key])
+    channel = np.array(channel)
+    m = np.array([s.m for s in points])
 
-    return integrate_semi_infinite(integrand, breakpoints=_density_breakpoints(m))
+    def integrand(t, which):
+        out = np.exp(_log_shared_density(t, m[which]))
+        of = channel[which]
+        for index, (win1, win2) in enumerate(mixtures):
+            mine = of == index
+            w1, w2 = _mixture(win1, t[mine]), _mixture(win2, t[mine])
+            if lose:
+                w1, w2 = 1.0 - w1, 1.0 - w2
+            out[mine] = out[mine] * w1 * w2
+        return out
+
+    return integrate_semi_infinite(integrand, [_density_breakpoints(s.m) for s in points])
 
 
-def pd_oracle(stats: ChannelStats) -> float:
+def pd_oracle(stats):
     """Quadrature evaluation of pd_closed_form from first principles.
 
     Conditions on the shared scatterer power t: given t the two envelopes are
     independent Ricians, and the win probability in each map factorises.
     Independent of the closed-form algebra; agreement to 1e-6 is the
-    validation gate for the closed form.
+    validation gate for the closed form. Takes one ChannelStats or a
+    sequence of them, as pd_closed_form does; a sequence is one call of the
+    quadrature rule, and raises the ConvergenceError of its first point
+    that fails.
     """
-    return _oracle(stats, lose=False)
+    return _each(stats, lambda points: _oracles(points, lose=False))
 
 
-def pfa_oracle(stats: ChannelStats) -> float:
-    """Quadrature evaluation of pfa_closed_form (lose-in-both-maps mass)."""
-    return _oracle(stats, lose=True)
+def pfa_oracle(stats):
+    """Quadrature evaluation of pfa_closed_form (lose-in-both-maps mass).
+
+    Takes one ChannelStats or a sequence of them, as pd_oracle does.
+    """
+    return _each(stats, lambda points: _oracles(points, lose=True))
 
 
 def combine_m_of_l(per_channel: Sequence, rule: FusionRule) -> float:

@@ -5,8 +5,9 @@ numerical contracts (tolerances, determinism, error behavior) the statistics
 code relies on; the simulator and the Monte Carlo rig call numpy and scipy
 directly where no such contract is needed. The quadrature is an adaptive
 Gauss-Kronrod (G7/K15) rule written in numpy that calls its integrand once
-per round on an array of nodes, so the package never imports
-`scipy.integrate` (and with it `scipy.linalg`, `optimize` and `sparse`).
+per round on an array of nodes, for one integral or many at once, so the
+package never imports `scipy.integrate` (and with it `scipy.linalg`,
+`optimize` and `sparse`).
 """
 
 from __future__ import annotations
@@ -155,19 +156,20 @@ def bessel_i0_log(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _kronrod_panels(f, lo, hi, tail, base):
+def _kronrod_panels(f, lo, hi, tail, base, which):
     """K15 value and error bound of every panel [lo, hi], in one call of f.
 
-    Tail panels run over u in [0, 1) with t = base + u / (1 - u). The bound
-    is QUADPACK qk15's: resasc * min(1, (200 |K - G| / resasc)^1.5), never
+    Tail panels run over u in [0, 1) with t = base + u / (1 - u). f gets the
+    nodes and, for each, the `which` entry of its panel. The bound is
+    QUADPACK qk15's: resasc * min(1, (200 |K - G| / resasc)^1.5), never
     below 50 eps times the panel's integral of |f|.
     """
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = centre[:, None] + half[:, None] * _NODES
     gap = np.where(tail[:, None], 1.0 - x, 1.0)
-    t = np.where(tail[:, None], base + x / gap, x)
-    ft = np.asarray(f(t.ravel()), dtype=float)
+    t = np.where(tail[:, None], base[:, None] + x / gap, x)
+    ft = np.asarray(f(t.ravel(), np.repeat(which, _NODES.size)), dtype=float)
     if ft.shape != (t.size,):
         raise ValueError(f"integrand returned shape {ft.shape} for {t.size} nodes")
     fx = ft.reshape(t.shape) / (gap * gap)
@@ -182,77 +184,125 @@ def _kronrod_panels(f, lo, hi, tail, base):
     return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs)
 
 
-def integrate_semi_infinite(
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """Integrate f over [0, inf).
+def _adaptive_kronrod(f, breakpoints: list) -> list:
+    """(estimate, error bound, ConvergenceError or None) of every integral.
 
-    f takes a 1-D array of t and returns an array of the same shape; it must
-    be continuous and absolutely integrable. `breakpoints` are optional
-    interior points (e.g. a known peak location) that the integrand is split
-    on; they are clipped to (0, inf) and deduplicated. Deterministic for fixed
-    inputs.
-
-    Adaptive Gauss-Kronrod (G7/K15). Every segment (0, the breakpoints, then
-    inf, the tail mapped by t = t_last + u / (1 - u)) starts as 8 equal
-    panels; each round evaluates every new panel in one call of f. The
-    estimate is returned once the summed error bound is at most ten times
-    the tolerance (relative 1e-10, absolute 1e-12); until then the panels
-    whose bound exceeds their share of the tolerance (in proportion to
-    width) are bisected, up to 200 panels per segment. Raises
-    ConvergenceError (carrying the estimate and its error bound) when the
-    cap stops the bisection first or the estimate is not finite.
+    `breakpoints` holds one sequence per integral; f(t, which) gets every
+    new node of a round in one call, with the index of its integral. The
+    panels live in flat arrays grouped by integral, each group in the order
+    a lone integral would keep them, so that every sum and every choice
+    comes out as it would alone.
     """
-    pts = sorted({float(p) for p in breakpoints if p > 0 and math.isfinite(p)})
-    edges = [0.0] + pts
-    count = len(edges)
-    starts = np.array(edges[:-1] + [0.0])
-    widths = np.array([b - a for a, b in zip(edges[:-1], edges[1:])] + [1.0])
+    starts, widths, tail, base, seg_owner, counts = [], [], [], [], [], []
+    for index, points in enumerate(breakpoints):
+        edges = [0.0] + sorted({float(p) for p in points if p > 0 and math.isfinite(p)})
+        starts += edges[:-1] + [0.0]
+        widths += [b - a for a, b in zip(edges[:-1], edges[1:])] + [1.0]
+        tail += [False] * (len(edges) - 1) + [True]
+        base += [edges[-1]] * len(edges)
+        seg_owner += [index] * len(edges)
+        counts.append(float(len(edges)))
+    starts, widths, base = np.array(starts), np.array(widths), np.array(base)
+    tail, seg_owner, counts = np.array(tail), np.array(seg_owner), np.array(counts)
     steps = np.linspace(0.0, 1.0, _QUAD_START_PANELS + 1)
-    seg = np.repeat(np.arange(count), _QUAD_START_PANELS)
-    lo = starts[seg] + widths[seg] * np.tile(steps[:-1], count)
-    hi = starts[seg] + widths[seg] * np.tile(steps[1:], count)
+    seg = np.repeat(np.arange(seg_owner.size), _QUAD_START_PANELS)
+    lo = starts[seg] + widths[seg] * np.tile(steps[:-1], seg_owner.size)
+    hi = starts[seg] + widths[seg] * np.tile(steps[1:], seg_owner.size)
     values = np.zeros(lo.size)
     errors = np.zeros(lo.size)
     fresh = np.ones(lo.size, dtype=bool)
+    outcomes = [None] * len(breakpoints)
     with np.errstate(over="ignore", under="ignore"):
         while True:
+            owner = seg_owner[seg]
             values[fresh], errors[fresh] = _kronrod_panels(
-                f, lo[fresh], hi[fresh], seg[fresh] == count - 1, edges[-1]
+                f, lo[fresh], hi[fresh], tail[seg[fresh]], base[seg[fresh]], owner[fresh]
             )
-            total = float(values.sum())
-            bound = float(errors.sum())
-            tol = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(total))
-            if not math.isfinite(total) or bound <= 10.0 * tol:
+            groups = np.flatnonzero(np.diff(owner)) + 1
+            tol = np.empty(lo.size)
+            done = np.zeros(lo.size, dtype=bool)
+            for a, b in zip([0, *groups.tolist()], [*groups.tolist(), lo.size]):
+                total = float(values[a:b].sum())
+                bound = float(errors[a:b].sum())
+                tol[a:b] = limit = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(total))
+                outcomes[owner[a]] = (total, bound, limit)
+                done[a:b] = not math.isfinite(total) or bound <= 10.0 * limit
+            over = ~done & (errors > tol * (hi - lo) / widths[seg] / counts[owner])
+            # at the cap only a segment's worst panels are split
+            room = _QUAD_SUBDIVISIONS - np.bincount(seg, minlength=seg_owner.size)
+            wanted = np.bincount(seg[over], minlength=seg_owner.size)
+            for s in np.flatnonzero(wanted > room):
+                candidates = np.flatnonzero((seg == s) & over)
+                worst_first = np.argsort(-errors[candidates], kind="stable")
+                over[candidates[worst_first[room[s]:]]] = False
+            # an integral is finished once it has converged or has no panel to split
+            live = np.bincount(owner[over], minlength=len(breakpoints)) > 0
+            if not live.any():
                 break
-            over = errors > tol * (hi - lo) / widths[seg] / count
-            for s in range(count):
-                # at the cap only a segment's worst panels are split
-                mine = np.flatnonzero(seg == s)
-                candidates = mine[over[mine]]
-                room = _QUAD_SUBDIVISIONS - mine.size
-                if candidates.size > room:
-                    worst_first = np.argsort(-errors[candidates], kind="stable")
-                    over[candidates[worst_first[room:]]] = False
-            if not over.any():
-                break
-            split = over.sum()
+            stay = live[owner] & ~over
+            split = int(over.sum())
             mid = 0.5 * (lo[over] + hi[over])
-            lo = np.concatenate([lo[~over], lo[over], mid])
-            hi = np.concatenate([hi[~over], mid, hi[over]])
-            seg = np.concatenate([seg[~over], seg[over], seg[over]])
-            values = np.concatenate([values[~over], np.zeros(2 * split)])
-            errors = np.concatenate([errors[~over], np.zeros(2 * split)])
+            lo = np.concatenate([lo[stay], lo[over], mid])
+            hi = np.concatenate([hi[stay], mid, hi[over]])
+            seg = np.concatenate([seg[stay], seg[over], seg[over]])
+            values = np.concatenate([values[stay], np.zeros(2 * split)])
+            errors = np.concatenate([errors[stay], np.zeros(2 * split)])
             fresh = np.arange(lo.size) >= lo.size - 2 * split
-    if not math.isfinite(total):
-        raise ConvergenceError("integral estimate is not finite", total, bound)
-    if bound > 10.0 * tol:
-        raise ConvergenceError(
-            f"quadrature error bound {bound:.3e} exceeds tolerance for estimate {total:.6e}",
-            total, bound,
-        )
-    return total
+            order = np.argsort(seg_owner[seg], kind="stable")
+            lo, hi, seg, values, errors, fresh = (
+                arr[order] for arr in (lo, hi, seg, values, errors, fresh)
+            )
+    for index, (total, bound, tol) in enumerate(outcomes):
+        error = None
+        if not math.isfinite(total):
+            error = ConvergenceError("integral estimate is not finite", total, bound)
+        elif bound > 10.0 * tol:
+            error = ConvergenceError(
+                f"quadrature error bound {bound:.3e} exceeds tolerance for estimate {total:.6e}",
+                total, bound,
+            )
+        outcomes[index] = (total, bound, error)
+    return outcomes
+
+
+def integrate_semi_infinite(f: Callable, breakpoints: Sequence = ()):
+    """Integrate f over [0, inf), or many integrands in one pass.
+
+    One integral: f takes a 1-D array of t and returns an array of the same
+    shape; it must be continuous and absolutely integrable. `breakpoints`
+    are optional interior points (e.g. a known peak location) that the
+    integrand is split on; they are clipped to (0, inf) and deduplicated.
+    Returns a float.
+
+    Many integrals: `breakpoints` holds one such sequence per integral, and
+    f(t, which) also receives, for every node, the index of the integral it
+    belongs to. Returns a tuple of the estimates in order; raises the
+    ConvergenceError of the first integral that failed, once all are done.
+    Each integral keeps its own segments, tolerance, panel cap and error
+    bound, and comes out with the same bits as it would alone.
+    Deterministic for fixed inputs.
+
+    Adaptive Gauss-Kronrod (G7/K15). Every segment (0, the breakpoints, then
+    inf, the tail mapped by t = t_last + u / (1 - u)) starts as 8 equal
+    panels; each round evaluates every new panel of every unfinished
+    integral in one call of f. An estimate is final once its summed error
+    bound is at most ten times its tolerance (relative 1e-10, absolute
+    1e-12); until then the panels whose bound exceeds their share of the
+    tolerance (in proportion to width) are bisected, up to 200 panels per
+    segment. ConvergenceError (carrying the estimate and its error bound)
+    when the cap stops the bisection first or the estimate is not finite.
+    """
+    points = list(breakpoints)
+    many = bool(points) and np.ndim(points[0]) == 1
+    if many:
+        outcomes = _adaptive_kronrod(f, points)
+    else:
+        outcomes = _adaptive_kronrod(lambda t, which: f(t), [points])
+    for _, _, error in outcomes:
+        if error is not None:
+            raise error
+    estimates = tuple(total for total, _, _ in outcomes)
+    return estimates if many else estimates[0]
 
 
 def _as_complex_array(x, name: str) -> np.ndarray:

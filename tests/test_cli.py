@@ -117,8 +117,10 @@ class TestDetectionSweeps:
 
     def test_a_failed_cross_check_names_the_layout_and_the_gap(self, tmp_path, monkeypatch):
         # pool sweeps repeat a pulse count across subpulse counts, so M alone
-        # does not say which row failed
-        monkeypatch.setattr(cli_io, "pd_oracle", lambda stats: pd_closed_form(stats) + 1e-3)
+        # does not say which row failed; the sweep asks for all its points at once
+        monkeypatch.setattr(
+            cli_io, "pd_oracle", lambda points: tuple(p + 1e-3 for p in pd_closed_form(points))
+        )
         config = write_config(tmp_path, "bad.json", {
             "channels": [{"pulses": 7, "subpulses": 8}],
             "snr_db": {"start": 10.0, "stop": 10.0},
@@ -129,14 +131,27 @@ class TestDetectionSweeps:
         (failure,) = manifest["cross_checks"]["failures"]
         assert "M=7, N=8" in failure and "gap 1.000e-03" in failure
 
+    @pytest.mark.parametrize("start", [4000.0, 400.0])
+    def test_an_overflowing_snr_is_refused_by_name(self, tmp_path, capsys, start):
+        config = write_config(tmp_path, "loud.json", {
+            "channels": [{"pulses": 7, "subpulses": 8}],
+            "snr_db": {"start": start, "stop": start},
+            "output_path": str(tmp_path / "loud.csv"),
+        })
+        assert main(["pd", config, "--snr-scale", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert f"run error: ValueError: snr1_db={start!r}" in err
+        assert not (tmp_path / "loud.csv").exists()
 
-# (subcommand, flag, argument, value expected at the flag's config path)
+
+# (subcommand, flag, argument, value expected at the flag's config path);
+# each flag goes through a subcommand that reads it
 FLAG_CASES = [
     ("ccrt-check", "--output", "moved.csv", "moved.csv"),
-    ("ccrt-check", "--seed", "42", 42),
-    ("ccrt-check", "--trials", "1234", 1234),
-    ("ccrt-check", "--batch-size", "99", 99),
-    ("ccrt-check", "--snr-scale", "0.25", 0.25),
+    ("mc", "--seed", "42", 42),
+    ("mc", "--trials", "1234", 1234),
+    ("mc", "--batch-size", "99", 99),
+    ("fused", "--snr-scale", "0.25", 0.25),
     ("simulate", "--noise-sigma", "0.01", 0.01),
     ("simulate", "--tolerance-hz", "0.5", 0.5),
     ("simulate", "--velocity-mps", "-500", -500.0),
@@ -179,9 +194,10 @@ class TestManifest:
         if command == "simulate":
             config = radar_config(tmp_path, "f.csv", seed=3, output_path="f.csv")
         else:
-            config = write_config(tmp_path, "f.json", {
-                "channels": [{"pulses": 3}, {"pulses": 5}], "output_path": "f.csv",
-            })
+            data = {"channels": [{"pulses": 3}, {"pulses": 5}], "output_path": "f.csv"}
+            if command != "ccrt-check":
+                data.update(snr_db={"start": 10.0, "stop": 10.0}, seed=1, mc={"trials": 2000})
+            config = write_config(tmp_path, "f.json", data)
         argv = [command, config, flag] + ([] if value is None else [value])
         assert main(argv) == 0
         output = value if flag == "--output" else "f.csv"
@@ -197,7 +213,9 @@ class TestManifest:
     @pytest.mark.parametrize("command", ["pd", "pfa", "fused", "mc", "ccrt-check"])
     def test_simulate_only_flags_are_refused_elsewhere(self, tmp_path, capsys, command):
         config = sweep_config(tmp_path, "s.csv", seed=1)
-        simulate_only = [(flag, kind) for flag, _, kind, _, only in cli_io._FLAGS if only]
+        simulate_only = [
+            (flag, kind) for flag, _, kind, _, modes in cli_io._FLAGS if modes == {"simulate"}
+        ]
         assert len(simulate_only) == 5
         for flag, kind in simulate_only:
             with pytest.raises(SystemExit) as info:
@@ -205,6 +223,39 @@ class TestManifest:
             assert info.value.code == 2
             assert flag in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+
+    @pytest.mark.parametrize("command, flag", [
+        ("ccrt-check", "--seed"), ("ccrt-check", "--trials"), ("ccrt-check", "--batch-size"),
+        ("ccrt-check", "--snr-scale"), ("fused", "--seed"), ("fused", "--trials"),
+        ("fused", "--batch-size"), ("simulate", "--trials"), ("simulate", "--batch-size"),
+        ("simulate", "--snr-scale"),
+    ])
+    def test_a_flag_the_subcommand_does_not_read_is_refused(
+        self, tmp_path, capsys, command, flag
+    ):
+        config = sweep_config(tmp_path, "unread.csv", seed=1)
+        with pytest.raises(SystemExit) as info:
+            main([command, config, flag, "1"])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "unread.csv").exists()
+
+    def test_every_subcommand_offers_exactly_the_flags_its_mode_reads(self):
+        offered = {
+            command: {flag for flag, *_, modes in cli_io._FLAGS if mode in modes}
+            for command, mode in cli_io._SUBCOMMANDS.items()
+        }
+        mc = {"--output", "--seed", "--trials", "--batch-size", "--snr-scale"}
+        assert offered == {
+            "pd": mc, "pfa": mc, "mc": mc,
+            "fused": {"--output", "--snr-scale"},
+            "ccrt-check": {"--output"},
+            "simulate": {
+                "--output", "--seed", "--noise-sigma", "--tolerance-hz", "--velocity-mps",
+                "--range-m", "--export-maps",
+            },
+        }
 
 
 class TestMonteCarloMode:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from subpulse import (
     ChannelStats,
+    ConvergenceError,
     FusionRule,
     NumericalDomainError,
     combine_m_of_l,
@@ -95,6 +96,18 @@ class TestFromSnr:
         assert s.sigma1 == pytest.approx(math.sqrt(7))
         assert s.sigma2 == pytest.approx(math.sqrt(8))
         assert s.m_im == 0.0
+
+    @pytest.mark.parametrize("snr_db, scale, message", [
+        (4000.0, 0.32, "snr1_db=4000.0 puts the mean power beyond float64"),
+        (400.0, 1e300, "snr1_db=400.0 puts the mean power beyond float64"),
+        (math.inf, 0.32, "snr1_db=inf puts the mean power beyond float64"),
+        (math.nan, 0.32, "snr1_db must be a number, got nan"),
+        (10.0, math.nan, "snr_scale must be finite and positive, got nan"),
+        (10.0, math.inf, "snr_scale must be finite and positive, got inf"),
+    ], ids=["overflow", "scaled-overflow", "inf", "nan", "nan-scale", "inf-scale"])
+    def test_an_unusable_snr_or_scale_is_refused_by_name(self, snr_db, scale, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            from_snr(snr_db, 0.5, 0.99, 7, 8, snr_scale=scale)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
@@ -244,6 +257,51 @@ class TestKernelPrecision:
                     s = from_snr(float(snr_db), 0.5, 0.99, pulses, subpulses)
                     assert abs(pd_closed_form(s) - pd_oracle(s)) <= 1e-6
                     assert abs(pfa_closed_form(s) - pfa_oracle(s)) <= 1e-6
+
+
+def pool_grid():
+    return [
+        from_snr(float(snr_db), 0.5, 0.99, pulses, subpulses)
+        for pulses in POOL_PULSES
+        for subpulses in POOL_SUBPULSES
+        for snr_db in np.arange(4.0, 15.25, 0.5)
+    ]
+
+
+PROBABILITIES = [pd_closed_form, pfa_closed_form, pd_oracle, pfa_oracle]
+
+
+class TestSequences:
+    @pytest.mark.parametrize("fn", PROBABILITIES, ids=lambda fn: fn.__name__)
+    def test_a_sequence_gives_the_per_point_values(self, fn):
+        # shuffled, so that one sequence interleaves every (M, N) layout
+        grid = pool_grid()
+        mixed = [grid[i] for i in np.random.default_rng(14).permutation(len(grid))]
+        assert fn(mixed) == tuple(fn(s) for s in mixed)
+        assert fn([]) == ()
+
+    @pytest.mark.parametrize("fn, third, error", [
+        (pd_closed_form, (17, 32, -5.0), NumericalDomainError),
+        (pfa_closed_form, (17, 32, -5.0), NumericalDomainError),
+        (pd_oracle, (64, 8, 5.0), ConvergenceError),
+        (pfa_oracle, (17, 32, -5.0), ConvergenceError),
+    ], ids=lambda case: getattr(case, "__name__", ""))
+    def test_a_sequence_raises_the_error_of_its_first_failing_point(self, fn, third, error):
+        pulses, subpulses, snr_db = third
+        failing = from_snr(snr_db, 0.5, 0.99, pulses, subpulses)
+        # the fourth point fails too, with another message
+        points = [
+            from_snr(10.0, 0.5, 0.99, 7, 8), from_snr(10.0, 0.5, 0.99, 11, 16),
+            failing, from_snr(-5.0, 0.5, 0.99, 128, 32),
+        ]
+        with pytest.raises(error) as alone:
+            fn(failing)
+        with pytest.raises(error) as together:
+            fn(points)
+        assert str(together.value) == str(alone.value)
+        if error is ConvergenceError:
+            assert together.value.estimate == alone.value.estimate
+            assert together.value.error_bound == alone.value.error_bound
 
 
 class TestFusion:

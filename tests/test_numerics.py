@@ -18,6 +18,7 @@ from subpulse import (
     integrate_semi_infinite,
     matched_filter,
 )
+from subpulse.numerics import _adaptive_kronrod
 
 
 class TestBesselI0Log:
@@ -159,6 +160,59 @@ class TestSemiInfiniteQuadrature:
         assert sum(nodes) <= 15 * (8 + 2 * 192)
         assert elapsed < 1.0
         assert peak < 2 * 2 ** 20
+
+
+# one integrand that converges at once, one that needs seven rounds of
+# bisection and one that the panel cap stops: (f, breakpoints)
+BATCH_CASES = [
+    (lambda t: 1.0 / (1.0 + t * t), (0.5, 2.0)),
+    (lambda t: np.exp(-t) * np.cos(6.0 * t) ** 2, ()),
+    (lambda t: np.exp(-t) * np.sin(4000.0 * t), (1.0,)),
+]
+
+
+class TestBatchedQuadrature:
+    @staticmethod
+    def batched(cases):
+        calls = []
+
+        def f(t, which):
+            calls.append(np.unique(which).tolist())
+            out = np.empty(t.shape)
+            for index, (g, _) in enumerate(cases):
+                mine = which == index
+                out[mine] = g(t[mine])
+            return out
+
+        return f, [points for _, points in cases], calls
+
+    def test_each_integral_keeps_its_bits_bound_and_error(self):
+        f, breakpoints, calls = self.batched(BATCH_CASES)
+        together = _adaptive_kronrod(f, breakpoints)
+        for (g, points), (estimate, bound, error) in zip(BATCH_CASES, together):
+            ((alone_estimate, alone_bound, alone_error),) = _adaptive_kronrod(
+                lambda t, which: g(t), [points]
+            )
+            assert (estimate, bound) == (alone_estimate, alone_bound)
+            assert type(error) is type(alone_error)
+            if error is not None:
+                assert str(error) == str(alone_error)
+                assert (error.estimate, error.error_bound) == (estimate, bound)
+        assert [error is None for _, _, error in together] == [True, True, False]
+        # one integrand call a round, over every integral still running
+        assert calls == [[0, 1, 2]] + [[1, 2]] * 5 + [[1]]
+
+    def test_the_sequence_form_returns_a_tuple_and_raises_the_first_failure(self):
+        f, breakpoints, _ = self.batched(BATCH_CASES)
+        alone = [integrate_semi_infinite(g, points) for g, points in BATCH_CASES[:2]]
+        assert integrate_semi_infinite(f, breakpoints[:2]) == tuple(alone)
+        with pytest.raises(ConvergenceError) as failed_alone:
+            integrate_semi_infinite(*BATCH_CASES[2])
+        with pytest.raises(ConvergenceError) as failed_together:
+            integrate_semi_infinite(f, breakpoints)
+        assert str(failed_together.value) == str(failed_alone.value)
+        assert failed_together.value.estimate == failed_alone.value.estimate
+        assert failed_together.value.error_bound == failed_alone.value.error_bound
 
 
 class TestMatchedFilter:
