@@ -188,7 +188,7 @@ def _log_binomials(n: int) -> np.ndarray:
 
 def _each(stats, evaluate):
     """evaluate(points) on one ChannelStats, giving a float, or on a sequence
-    of them, giving a tuple in order; an empty sequence never reaches it."""
+    of them, giving a tuple in order; an empty sequence gives () without a call."""
     if isinstance(stats, ChannelStats):
         return evaluate([stats])[0]
     points = list(stats)
