@@ -25,11 +25,9 @@ from .ccrt import (
     OutOfWindowError,
     PrfChannel,
     UnfoldResult,
-    apparent_bin,
     ccrt_solve,
     common_bin_spacing,
     doppler_to_velocity,
-    fold_bin,
     modular_inverse,
     unfold,
     unfold_tolerant,
@@ -62,7 +60,6 @@ from .radar_sim import (
     RadarSetup,
     TargetTruth,
     build_datacube,
-    compress_pp,
     compress_sp,
     detect_and_unfold,
     doppler_maps,

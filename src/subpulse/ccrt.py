@@ -25,8 +25,6 @@ __all__ = [
     "OutOfWindowError",
     "modular_inverse",
     "ccrt_solve",
-    "apparent_bin",
-    "fold_bin",
     "doppler_to_velocity",
     "velocity_to_doppler",
     "unfold",
@@ -130,31 +128,6 @@ def ccrt_solve(moduli: Sequence[int], residues):
     else:
         bins = (r.astype(object) @ np.array(basis, dtype=object)) % theta
     return int(bins) if r.ndim == 1 else bins
-
-
-def apparent_bin(f_ap: float, channel: PrfChannel) -> int:
-    """Folded Doppler bin observed for an in-window frequency.
-
-    Non-negative frequencies map to floor(|f|/spacing); negative ones to
-    M - floor(|f|/spacing), with the boundary result M wrapped to 0.
-    """
-    half = channel.prf / 2.0
-    if abs(f_ap) > half * (1.0 + 1e-12):
-        raise OutOfWindowError(f"|{f_ap}| Hz exceeds the +-{half} Hz window")
-    m = channel.num_pulses
-    k = int(math.floor(abs(f_ap) / channel.bin_spacing))
-    if f_ap >= 0:
-        return min(k, m - 1) if k == m else k
-    b = m - k
-    return 0 if b == m else b
-
-
-def fold_bin(b_d: int, channel: PrfChannel) -> int:
-    """Residue of a true bin index: b_d mod M."""
-    b_d = _integral(b_d, "bin index")
-    if b_d < 0:
-        raise ValueError("bin index must be non-negative")
-    return b_d % channel.num_pulses
 
 
 def doppler_to_velocity(f_d: float, wavelength: float) -> float:

@@ -82,6 +82,8 @@ SCHEMAS = {
     ),
 }
 MODES = tuple(SCHEMAS)
+# modes that read an `mc` section and the Monte Carlo flags
+_MC_MODES = frozenset({"pd_sweep", "pfa_sweep", "mc_validate"})
 
 _ORACLE_TOL = 1e-6  # closed form vs quadrature, absolute
 _MC_Z_LIMIT = 5.0
@@ -98,9 +100,7 @@ class ExperimentConfig:
     channels: tuple[tuple[int, int], ...]
     lambda1: float = 0.5
     lambda2: float = 0.99
-    snr_start_db: Optional[float] = None
-    snr_stop_db: Optional[float] = None
-    snr_step_db: Optional[float] = None
+    snr_grid: tuple[float, ...] = ()
     snr_scale: float = SNR_SCALE_DEFAULT
     fusion: Optional[FusionRule] = None
     mc_trials: int = McConfig.trials
@@ -113,12 +113,6 @@ class ExperimentConfig:
     export_map_files: bool = False
     output_path: str = "results.csv"
     raw: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def snr_grid(self) -> tuple[float, ...]:
-        if self.snr_start_db is None:
-            return ()
-        count = int(math.floor((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9)) + 1
-        return tuple(self.snr_start_db + i * self.snr_step_db for i in range(count))
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -239,6 +233,11 @@ def _parse_radar(
         raise ConfigError(f"radar: {err}") from err
 
 
+def _draws_mc(mode: str, raw: dict) -> bool:
+    """Whether a run draws Monte Carlo: mc always, pd and pfa with an `mc` section."""
+    return mode == "mc_validate" or (mode in _MC_MODES and "mc" in raw)
+
+
 def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentConfig:
     file_mode = _need(raw, "mode", str)
     if file_mode is not None and mode is not None and file_mode != mode:
@@ -261,7 +260,7 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
     if snr_scale <= 0:
         raise ConfigError(f"field 'snr_scale' must be positive, got {snr_scale}")
 
-    start = stop = step = None
+    snr_grid = ()
     if effective in ("pd_sweep", "pfa_sweep", "fused_sweep", "mc_validate"):
         grid = _need(raw, "snr_db", dict, required=True)
         start = _need(grid, "start", float, required=True)
@@ -271,6 +270,8 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
             raise ConfigError(f"snr_db.step must be > 0, got {step}")
         if stop < start:
             raise ConfigError(f"snr_db grid is empty: start {start} exceeds stop {stop}")
+        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        snr_grid = tuple(start + i * step for i in range(count))
 
     fusion = None
     if effective == "fused_sweep":
@@ -287,6 +288,14 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
             raise ConfigError(f"fusion: {err}") from err
 
     mc_section = _need(raw, "mc", dict, default={})
+    if "mc" in raw and effective not in _MC_MODES:
+        raise ConfigError(f"field 'mc' is read only by pd, pfa and mc runs, not {effective}")
+    # an mc.seed can only sit in a run that draws Monte Carlo, after the rule above
+    if "seed" in raw and not (_draws_mc(effective, raw) or effective == "simulate"):
+        raise ConfigError(
+            f"field 'seed' is read only by runs that draw random numbers (mc, simulate, "
+            f"or pd/pfa with an 'mc' section); this {effective} run draws none"
+        )
     mc_trials = _need(mc_section, "trials", int, default=_DEFAULTS["mc_trials"])
     mc_batch = _need(mc_section, "batch_size", int, default=_DEFAULTS["mc_batch"])
     mc_seed = _need(mc_section, "seed", int)
@@ -299,10 +308,7 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
     if mc_batch < 1:
         raise ConfigError(f"mc.batch_size must be >= 1, got {mc_batch}")
 
-    wants_mc = effective == "mc_validate" or (
-        effective in ("pd_sweep", "pfa_sweep") and "mc" in raw
-    )
-    if wants_mc and seed is None:
+    if _draws_mc(effective, raw) and seed is None:
         raise ConfigError(
             "an explicit seed is required when Monte Carlo runs "
             "(set 'seed' or 'mc.seed' in the config, or pass --seed)"
@@ -348,9 +354,7 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         channels=channels,
         lambda1=lambda1,
         lambda2=lambda2,
-        snr_start_db=start,
-        snr_stop_db=stop,
-        snr_step_db=step,
+        snr_grid=snr_grid,
         snr_scale=snr_scale,
         fusion=fusion,
         mc_trials=mc_trials,
@@ -372,15 +376,20 @@ def load_config(path, *, mode: Optional[str] = None) -> ExperimentConfig:
     return _config_from_dict(_parse_json(path), mode=mode)
 
 
-def _stats_for(config: ExperimentConfig, snr_db: float, pulses: int, subpulses: int):
-    return from_snr(
-        snr1_db=snr_db,
-        lambda1=config.lambda1,
-        lambda2=config.lambda2,
-        M=pulses,
-        N=subpulses,
-        snr_scale=config.snr_scale,
-    )
+def _sweep_points(config: ExperimentConfig) -> list:
+    """(snr_db, channel index, pulses, subpulses, ChannelStats) per row, SNR-major."""
+    return [
+        (snr_db, index, pulses, subpulses, from_snr(
+            snr1_db=snr_db,
+            lambda1=config.lambda1,
+            lambda2=config.lambda2,
+            M=pulses,
+            N=subpulses,
+            snr_scale=config.snr_scale,
+        ))
+        for snr_db in config.snr_grid
+        for index, (pulses, subpulses) in enumerate(config.channels)
+    ]
 
 
 def _mc_for(config: ExperimentConfig, stats, row_index: int):
@@ -399,17 +408,13 @@ def _rows_prob_sweep(config: ExperimentConfig, which: str, failures: list):
     rows = []
     closed_fn = pd_closed_form if which == "pd" else pfa_closed_form
     oracle_fn = pd_oracle if which == "pd" else pfa_oracle
-    use_mc = "mc" in config.raw
-    grid = [
-        (snr_db, index, pulses, subpulses)
-        for snr_db in config.snr_grid()
-        for index, (pulses, subpulses) in enumerate(config.channels)
-    ]
-    points = [_stats_for(config, snr_db, p, n) for snr_db, _, p, n in grid]
-    closed_all = closed_fn(points)
-    oracle_all = oracle_fn(points)
-    for (snr_db, index, pulses, subpulses), stats, closed, oracle in zip(
-        grid, points, closed_all, oracle_all
+    use_mc = _draws_mc(config.mode, config.raw)
+    points = _sweep_points(config)
+    stats_all = [stats for *_, stats in points]
+    closed_all = closed_fn(stats_all)
+    oracle_all = oracle_fn(stats_all)
+    for (snr_db, index, pulses, subpulses, stats), closed, oracle in zip(
+        points, closed_all, oracle_all
     ):
         if abs(closed - oracle) > _ORACLE_TOL:
             failures.append(
@@ -443,16 +448,11 @@ def _rows_prob_sweep(config: ExperimentConfig, which: str, failures: list):
 
 def _rows_fused(config: ExperimentConfig, failures: list):
     rows = []
-    rule = config.fusion or FusionRule(len(config.channels), len(config.channels))
-    grid = config.snr_grid()
-    points = [
-        _stats_for(config, snr_db, pulses, subpulses)
-        for snr_db in grid
-        for pulses, subpulses in config.channels
-    ]
-    per_point = [fn(points) for fn in (pd_closed_form, pd_oracle, pfa_closed_form, pfa_oracle)]
+    rule = config.fusion
+    stats_all = [stats for *_, stats in _sweep_points(config)]
+    per_point = [fn(stats_all) for fn in (pd_closed_form, pd_oracle, pfa_closed_form, pfa_oracle)]
     width = len(config.channels)
-    for i, snr_db in enumerate(grid):
+    for i, snr_db in enumerate(config.snr_grid):
         pd_c, pd_o, pfa_c, pfa_o = (
             combine_m_of_l(values[i * width:(i + 1) * width], rule) for values in per_point
         )
@@ -476,37 +476,37 @@ def _rows_fused(config: ExperimentConfig, failures: list):
 def _rows_mc_validate(config: ExperimentConfig, failures: list):
     rows = []
     floor = 10.0 / config.mc_trials
-    for snr_db in config.snr_grid():
-        for index, (pulses, subpulses) in enumerate(config.channels):
-            stats = _stats_for(config, snr_db, pulses, subpulses)
-            pd_c = pd_closed_form(stats)
-            pfa_c = pfa_closed_form(stats)
-            est = _mc_for(config, stats, len(rows))
-            pd_z = (est.pd_hat - pd_c) / max(est.stderr_pd, floor)
-            pfa_z = (est.pfa_hat - pfa_c) / max(est.stderr_pfa, floor)
-            pd_ok = abs(pd_z) <= _MC_Z_LIMIT
-            pfa_ok = abs(pfa_z) <= _MC_Z_LIMIT
-            if not (pd_ok and pfa_ok):
-                failures.append(
-                    f"mc_validate z-score out of range at snr={snr_db} dB, M={pulses}, "
-                    f"N={subpulses}: "
-                    f"pd_z={pd_z:.2f} pfa_z={pfa_z:.2f}"
-                )
-            rows.append({
-                "snr1_db": snr_db,
-                "channel": index,
-                "pulses": pulses,
-                "subpulses": subpulses,
-                "trials": config.mc_trials,
-                "pd_closed": pd_c,
-                "pd_mc": est.pd_hat,
-                "pd_z": pd_z,
-                "pd_agree": int(pd_ok),
-                "pfa_closed": pfa_c,
-                "pfa_mc": est.pfa_hat,
-                "pfa_z": pfa_z,
-                "pfa_agree": int(pfa_ok),
-            })
+    points = _sweep_points(config)
+    stats_all = [stats for *_, stats in points]
+    pd_all = pd_closed_form(stats_all)
+    pfa_all = pfa_closed_form(stats_all)
+    for (snr_db, index, pulses, subpulses, stats), pd_c, pfa_c in zip(points, pd_all, pfa_all):
+        est = _mc_for(config, stats, len(rows))
+        pd_z = (est.pd_hat - pd_c) / max(est.stderr_pd, floor)
+        pfa_z = (est.pfa_hat - pfa_c) / max(est.stderr_pfa, floor)
+        pd_ok = abs(pd_z) <= _MC_Z_LIMIT
+        pfa_ok = abs(pfa_z) <= _MC_Z_LIMIT
+        if not (pd_ok and pfa_ok):
+            failures.append(
+                f"mc_validate z-score out of range at snr={snr_db} dB, M={pulses}, "
+                f"N={subpulses}: "
+                f"pd_z={pd_z:.2f} pfa_z={pfa_z:.2f}"
+            )
+        rows.append({
+            "snr1_db": snr_db,
+            "channel": index,
+            "pulses": pulses,
+            "subpulses": subpulses,
+            "trials": config.mc_trials,
+            "pd_closed": pd_c,
+            "pd_mc": est.pd_hat,
+            "pd_z": pd_z,
+            "pd_agree": int(pd_ok),
+            "pfa_closed": pfa_c,
+            "pfa_mc": est.pfa_hat,
+            "pfa_z": pfa_z,
+            "pfa_agree": int(pfa_ok),
+        })
     return rows
 
 
@@ -681,7 +681,6 @@ _SUBCOMMANDS = {
 # reads, so argparse refuses the rest with exit 2. The Monte Carlo fields are
 # read by the sweeps that can run it (pd and pfa turn it on when the config
 # has an `mc` section).
-_MC_MODES = frozenset({"pd_sweep", "pfa_sweep", "mc_validate"})
 _SIMULATE = frozenset({"simulate"})
 _FLAGS = (
     ("--output", ("output_path",), str, "override output_path", frozenset(MODES)),

@@ -51,7 +51,6 @@ __all__ = [
     "make_lfm",
     "split_subpulses",
     "synth_echo",
-    "compress_pp",
     "compress_sp",
     "build_datacube",
     "doppler_maps",
@@ -278,14 +277,6 @@ def synth_echo(
         rx += g.normal(0.0, scale, rx.shape)
         rx += 1j * g.normal(0.0, scale, rx.shape)
     return rx
-
-
-def compress_pp(rx_per_pulse, replica) -> np.ndarray:
-    """Full-replica range compression of every pulse; shape (pulses, range).
-
-    This is the one-segment case of compress_sp.
-    """
-    return compress_sp(rx_per_pulse, [replica])[:, 0, :]
 
 
 def compress_sp(rx_per_pulse, subpulse_replicas) -> np.ndarray:

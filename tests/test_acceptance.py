@@ -25,7 +25,7 @@ from subpulse import (
     TargetTruth,
     ccrt_solve,
     combine_m_of_l,
-    compress_pp,
+    compress_sp,
     estimate,
     from_snr,
     make_lfm,
@@ -174,7 +174,7 @@ def test_end_to_end_simulation():
     # noise sized so the compressed single-pulse amplitude at the true range
     # gate sits 6 dB over the per-component deviation of compressed noise
     replica = make_lfm(setup)
-    noiseless = np.abs(compress_pp(synth_echo(setup, channel, truth), replica))
+    noiseless = np.abs(compress_sp(synth_echo(setup, channel, truth), [replica])[:, 0, :])
     gate = round(2.0 * truth.range_m / 299792458.0 * setup.sample_rate_hz)
     gate_amp = float(noiseless[:, gate].mean())
     energy = float(np.sum(np.abs(replica) ** 2))

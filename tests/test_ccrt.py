@@ -11,11 +11,9 @@ from subpulse import (
     NotInvertibleError,
     OutOfWindowError,
     PrfChannel,
-    apparent_bin,
     ccrt_solve,
     common_bin_spacing,
     doppler_to_velocity,
-    fold_bin,
     modular_inverse,
     unfold,
     unfold_tolerant,
@@ -88,8 +86,6 @@ class TestCcrtSolve:
             ccrt_solve((3, 5), (1.5, 2))
         with pytest.raises(ValueError, match="modulus"):
             ccrt_solve((3.9, 5), (1, 2))
-        with pytest.raises(ValueError, match="bin index"):
-            fold_bin(7.9, PrfChannel(prf=500.0, num_pulses=5))
 
     def test_theta_is_the_product(self):
         # the largest residue in every channel is the last bin before the wrap
@@ -138,25 +134,6 @@ class TestCcrtSolveArray:
 
 
 class TestBinMaps:
-    def test_apparent_bin_examples(self):
-        ch = PrfChannel(prf=1100.0, num_pulses=11)
-        assert apparent_bin(0.0, ch) == 0
-        assert apparent_bin(250.0, ch) == 2
-        assert apparent_bin(-250.0, ch) == 9
-
-    def test_apparent_bin_edges(self):
-        ch = PrfChannel(prf=1100.0, num_pulses=11)
-        # half-prf keeps floor semantics; tiny negative wraps M back to 0
-        assert apparent_bin(550.0, ch) == 5
-        assert apparent_bin(-10.0, ch) == 0
-        with pytest.raises(OutOfWindowError):
-            apparent_bin(550.1, ch)
-
-    def test_fold_bin_examples(self):
-        assert fold_bin(36, PrfChannel(prf=1100.0, num_pulses=11)) == 3
-        assert fold_bin(10, PrfChannel(prf=1300.0, num_pulses=13)) == 10
-        assert fold_bin(THETA + 5, PrfChannel(prf=1700.0, num_pulses=17)) == 46194 % 17
-
     def test_velocity_doppler_pair(self):
         assert doppler_to_velocity(0.0, 0.05) == 0.0
         assert doppler_to_velocity(36000.0, 0.05) == pytest.approx(900.0, rel=1e-12)
@@ -228,7 +205,7 @@ class TestUnfold:
     def test_fold_then_unfold_round_trips(self, b_d):
         chans = reference_channels()
         truth_hz = b_d * 100.0
-        residues = [fold_bin(b_d % THETA, ch) for ch in chans]
+        residues = [(b_d % THETA) % ch.num_pulses for ch in chans]
         res = unfold(residues, chans, coarse_hz=truth_hz)
         assert res.doppler_hz == pytest.approx(truth_hz, abs=1e-6)
 
@@ -238,7 +215,7 @@ class TestUnfold:
         lam = 0.05
         for b_d, shift in ((-3000, 900.0), (5000, -1200.0), (20000, 400.0)):
             truth_hz = b_d * 100.0
-            residues = [fold_bin(b_d % THETA, ch) for ch in chans]
+            residues = [(b_d % THETA) % ch.num_pulses for ch in chans]
             res = unfold(residues, chans, coarse_hz=truth_hz + shift, wavelength_m=lam)
             v_true = doppler_to_velocity(truth_hz, lam)
             assert abs(res.velocity_mps - v_true) <= 100.0 * lam / 4.0
@@ -247,7 +224,7 @@ class TestUnfold:
 class TestUnfoldTolerant:
     def test_matching_spacings_behave_like_unfold(self):
         chans = reference_channels()
-        residues = [fold_bin(36, ch) for ch in chans]
+        residues = [36 % ch.num_pulses for ch in chans]
         strict = unfold(residues, chans, coarse_hz=3600.0, wavelength_m=0.05)
         loose = unfold_tolerant(residues, chans, coarse_hz=3600.0, wavelength_m=0.05)
         assert loose.doppler_hz == pytest.approx(strict.doppler_hz)
@@ -260,7 +237,7 @@ class TestUnfoldTolerant:
             PrfChannel(prf=1900.0, num_pulses=19, num_subpulses=8),
         ]
         # residues as a common-spacing radar would have measured them
-        residues = [fold_bin(36, ch) for ch in chans]
+        residues = [36 % ch.num_pulses for ch in chans]
         res = unfold_tolerant(residues, chans, coarse_hz=3600.0, wavelength_m=0.05)
         assert abs(res.doppler_hz - 3600.0) <= 150.0
 

@@ -143,6 +143,53 @@ class TestDetectionSweeps:
         assert f"run error: ValueError: snr1_db={start!r}" in err
         assert not (tmp_path / "loud.csv").exists()
 
+    @pytest.mark.parametrize("grid, expected", [
+        # 0.3 / 0.1 rounds just below 3; the 1e-9 slack keeps the stop point
+        ((0.0, 0.3, 0.1), (0.0, 0.1, 0.2, 0.30000000000000004)),
+        ((2.5, 2.5, 1.0), (2.5,)),
+        ((0.0, 1.0, 5.0), (0.0,)),
+        ((-5.0, 15.0, 0.5), tuple(k / 2 for k in range(-10, 31))),
+    ], ids=["slack", "one-point", "wide-step", "readme-span"])
+    def test_the_snr_grid_is_start_plus_i_steps(self, grid, expected):
+        start, stop, step = grid
+        config = cli_io._config_from_dict({
+            "channels": [{"pulses": 7}],
+            "snr_db": {"start": start, "stop": stop, "step": step},
+        }, mode="pd_sweep")
+        assert config.snr_grid == expected
+
+    @pytest.mark.parametrize("command, extra, expected", [
+        ("pd", {}, {"pd_closed_form": 1, "pd_oracle": 1}),
+        ("pfa", {}, {"pfa_closed_form": 1, "pfa_oracle": 1}),
+        ("fused", {}, {
+            "pd_closed_form": 1, "pd_oracle": 1, "pfa_closed_form": 1, "pfa_oracle": 1,
+            "combine_m_of_l": 4 * 2,
+        }),
+        ("mc", {"seed": 2, "mc": {"trials": 2000, "batch_size": 1024}},
+         {"pd_closed_form": 1, "pfa_closed_form": 1, "estimate": 2 * 2}),
+    ])
+    def test_each_statistic_is_called_once_per_run(
+        self, tmp_path, monkeypatch, command, extra, expected
+    ):
+        # the benchmark's tracer wraps these names in cli_io and times one
+        # span per call, so a sweep makes one call per run, not one per row
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("pd_closed_form", "pfa_closed_form", "pd_oracle", "pfa_oracle",
+                     "combine_m_of_l", "estimate"):
+            monkeypatch.setattr(cli_io, name, counted(name, getattr(cli_io, name)))
+        config = sweep_config(tmp_path, "calls.csv", **extra)  # two SNR points, two channels
+        main([command, config])
+        manifest = json.loads((tmp_path / "calls.csv.manifest.json").read_text())
+        assert manifest["error"] is None and manifest["rows"] > 0
+        assert calls == expected
+
 
 # (subcommand, flag, argument, value expected at the flag's config path);
 # each flag goes through a subcommand that reads it
@@ -196,7 +243,9 @@ class TestManifest:
         else:
             data = {"channels": [{"pulses": 3}, {"pulses": 5}], "output_path": "f.csv"}
             if command != "ccrt-check":
-                data.update(snr_db={"start": 10.0, "stop": 10.0}, seed=1, mc={"trials": 2000})
+                data.update(snr_db={"start": 10.0, "stop": 10.0})
+            if command not in ("ccrt-check", "fused"):
+                data.update(seed=1, mc={"trials": 2000})
             config = write_config(tmp_path, "f.json", data)
         argv = [command, config, flag] + ([] if value is None else [value])
         assert main(argv) == 0
@@ -278,7 +327,7 @@ class TestMonteCarloMode:
         assert float(row["pfa_mc"]) == est.pfa_hat
 
     def test_an_out_of_range_z_names_the_layout_and_the_score(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli_io, "pd_closed_form", lambda stats: 0.0)
+        monkeypatch.setattr(cli_io, "pd_closed_form", lambda points: (0.0,) * len(points))
         config = write_config(tmp_path, "mcbad.json", {
             "channels": [{"pulses": 7, "subpulses": 8}],
             "snr_db": {"start": 10.0, "stop": 10.0},
@@ -335,6 +384,22 @@ class TestMonteCarloMode:
         assert manifest["error"]["type"] == "NumericalDomainError"
         assert manifest["output"] is None and manifest["cross_checks"]["passed"] is False
         assert f"run error: NumericalDomainError: {manifest['error']['message']}" in err
+
+    def test_a_failing_point_raises_before_any_monte_carlo_batch(self, tmp_path, monkeypatch):
+        # row 0 (M=7) resolves, row 1 (M=31, N=32) does not; the closed forms
+        # run over the whole grid first, so no row draws a batch
+        drawn = []
+        monkeypatch.setattr(cli_io, "estimate", lambda config: drawn.append(config))
+        config = write_config(tmp_path, "deepmc.json", {
+            "channels": [{"pulses": 7, "subpulses": 8}, {"pulses": 31, "subpulses": 32}],
+            "snr_db": {"start": -5.0, "stop": -5.0},
+            "output_path": str(tmp_path / "deepmc.csv"),
+        })
+        assert main(["mc", config, "--seed", "1", "--trials", "4000"]) == 1
+        manifest = json.loads((tmp_path / "deepmc.csv.manifest.json").read_text())
+        assert manifest["error"]["type"] == "NumericalDomainError"
+        assert "M=31" in manifest["error"]["message"]
+        assert drawn == []
 
 
 class TestCongruenceMode:
@@ -479,6 +544,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("command, make, overrides, flags, field", [
+        ("pd", sweep_config, {}, ["--seed", "9"], "'seed'"),
+        ("pfa", sweep_config, {"seed": 9}, [], "'seed'"),
+        ("fused", sweep_config, {"seed": 4}, [], "'seed'"),
+        ("fused", sweep_config, {"mc": {"trials": 5}}, [], "'mc'"),
+        ("fused", sweep_config, {"seed": 4, "mc": {"trials": 5}}, [], "'mc'"),
+        ("ccrt-check", sweep_config, {"seed": 1}, [], "'seed'"),
+        ("ccrt-check", sweep_config, {"mc": {"seed": 1}}, [], "'mc'"),
+        ("simulate", radar_config, {"seed": 3, "mc": {"trials": 5}}, [], "'mc'"),
+    ], ids=["pd-seed-flag", "pfa-seed", "fused-seed", "fused-mc", "fused-seed-and-mc",
+            "ccrt-seed", "ccrt-mc-seed", "simulate-mc"])
+    def test_a_monte_carlo_input_no_run_reads_is_refused(
+        self, tmp_path, capsys, command, make, overrides, flags, field
+    ):
+        config = make(tmp_path, "unread.csv", **overrides)
+        assert main([command, config, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not (tmp_path / "unread.csv.manifest.json").exists()
 
     @pytest.mark.parametrize("command, make, overrides, flags", [
         ("mc", sweep_config, {"mc": 5}, ["--trials", "100"]),

@@ -19,12 +19,10 @@ from subpulse import (
     TargetTruth,
     SPEED_OF_LIGHT,
     build_datacube,
-    compress_pp,
     compress_sp,
     detect_and_unfold,
     doppler_maps,
     export_maps,
-    fold_bin,
     make_lfm,
     run_pipeline,
     simulate_channel,
@@ -114,7 +112,7 @@ class TestEcho:
     def test_stationary_target_compresses_to_full_gain(self, setup):
         truth = TargetTruth(range_m=10e3, radial_velocity_mps=0.0)
         rx = synth_echo(setup, setup.channels[0], truth)
-        profile = np.abs(compress_pp(rx, make_lfm(setup))[0])
+        profile = np.abs(compress_sp(rx, [make_lfm(setup)])[0, 0])
         peak_bin = int(np.argmax(profile))
         assert peak_bin == expected_delay_bin(setup)
         assert profile[peak_bin] == pytest.approx(200.0, rel=1e-9)
@@ -137,7 +135,7 @@ class TestEcho:
     def test_noise_only_output_is_rayleigh_after_compression(self, setup):
         truth = TargetTruth(range_m=10e3, radial_velocity_mps=0.0, amplitude=0.0)
         rx = synth_echo(setup, setup.channels[0], truth, rng=RngStream(5, 0), noise_sigma=0.7)
-        mags = np.abs(compress_pp(rx, make_lfm(setup))).ravel()
+        mags = np.abs(compress_sp(rx, [make_lfm(setup)])[:, 0, :]).ravel()
         assert mags.size > 10 ** 4
         fitted_scale = math.sqrt(float(np.mean(mags ** 2)) / 2.0)
         # compressed noise per-component deviation: noise_sigma * sqrt(E/2)
@@ -159,7 +157,7 @@ class TestCompression:
         truth = TargetTruth(range_m=10e3, radial_velocity_mps=0.0)
         rx = synth_echo(setup, setup.channels[0], truth)
         replica = make_lfm(setup)
-        full = np.abs(compress_pp(rx, replica)[0]).max()
+        full = np.abs(compress_sp(rx, [replica])[0, 0]).max()
         sub = np.abs(compress_sp(rx, split_subpulses(replica, 8))[0]).max(axis=1)
         np.testing.assert_allclose(sub / full, 1.0 / 8.0, rtol=1e-6)
 
@@ -167,7 +165,7 @@ class TestCompression:
         truth = TargetTruth(range_m=10e3, radial_velocity_mps=-700.0)
         rx = synth_echo(setup, setup.channels[0], truth)
         replica = make_lfm(setup)
-        pp = compress_pp(rx, replica)
+        pp = compress_sp(rx, [replica])[:, 0, :]
         sp = compress_sp(rx, split_subpulses(replica, 1))
         np.testing.assert_array_equal(sp[:, 0, :], pp)
 
@@ -210,7 +208,7 @@ class TestCompression:
         length = 400
         replica = np.ones(length, complex)
         rx = (replica * np.exp(2j * np.pi * 0.9 * np.arange(length) / length))[None, :]
-        full = np.abs(compress_pp(rx, replica)).max()
+        full = np.abs(compress_sp(rx, [replica])[:, 0, :]).max()
         sub = np.abs(compress_sp(rx, split_subpulses(replica, 8))).max()
         assert sub > full
         model = abs(
@@ -268,7 +266,7 @@ class TestMaps:
         truth = TargetTruth(10e3, -900.0)
         dmap = simulate_channel(setup, channel, truth)
         # independent route: full-replica compression, then the pulse-axis DFT
-        full = compress_pp(synth_echo(setup, channel, truth), make_lfm(setup))
+        full = compress_sp(synth_echo(setup, channel, truth), [make_lfm(setup)])[:, 0, :]
         np.testing.assert_allclose(dmap.pp, np.abs(np.fft.fft(full, axis=0)), rtol=1e-10, atol=1e-9)
 
     def test_zero_input_gives_zero_maps(self, setup):
@@ -386,7 +384,7 @@ class TestDetection:
             v = b_d * 100.0 * setup.wavelength_m / 2.0
             report = run_pipeline(setup, TargetTruth(10e3, v), seed=trial, noise_sigma=0.01)
             for ch, det in zip(channels, report.channels):
-                assert det.apparent_bin == fold_bin(b_d % THETA, ch)
+                assert det.apparent_bin == (b_d % THETA) % ch.num_pulses
 
     def test_segment_map_peak_never_falls_below_pulse_map_peak(self, setup):
         peaks = {}
