@@ -130,17 +130,20 @@ def ccrt_solve(moduli: Sequence[int], residues):
     return int(bins) if r.ndim == 1 else bins
 
 
+def _check_wavelength(wavelength: float) -> None:
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be finite and positive, got {wavelength!r}")
+
+
 def doppler_to_velocity(f_d: float, wavelength: float) -> float:
     """Radial velocity for a Doppler shift: v = f * wavelength / 2."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    _check_wavelength(wavelength)
     return f_d * wavelength / 2.0
 
 
 def velocity_to_doppler(v: float, wavelength: float) -> float:
     """Doppler shift for a radial velocity: f = 2 v / wavelength."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
+    _check_wavelength(wavelength)
     return 2.0 * v / wavelength
 
 
@@ -175,6 +178,8 @@ def _nearest_lattice(
     """
     span = theta * spacing
     fmax = span / 2.0 if fmax_hz is None else float(fmax_hz)
+    if not math.isfinite(fmax):
+        raise ValueError(f"fmax_hz must be finite, got {fmax_hz!r}")
     base = b * spacing
     q_lo = math.ceil((-fmax - base) / span)
     q_hi = math.floor((fmax - base) / span)

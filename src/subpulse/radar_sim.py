@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as _fft
 
 from .ccrt import (
     OutOfWindowError,
@@ -250,8 +249,8 @@ def synth_echo(
     per-component variance noise_sigma^2/2 is added when noise_sigma > 0
     (real grid drawn first, then imaginary).
     """
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma!r}")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma!r}")
     if noise_sigma > 0 and rng is None:
         raise ValueError("an RngStream is required when noise_sigma > 0")
     replica = make_lfm(setup)
@@ -346,7 +345,7 @@ def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> Dopple
     # (l s) mod N first keeps every phase as accurate as the N-th roots of unity
     phases = np.exp(2j * math.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
     bank = np.concatenate(segments) * np.repeat(phases, [seg.size for seg in segments], axis=1)
-    sp = np.abs(matched_filter(_fft.fft(rx, axis=0), bank))
+    sp = np.abs(matched_filter(np.fft.fft(rx, axis=0), bank))
     return DopplerMap(channel=channel, pp=sp[:, 0, :], sp=sp)
 
 

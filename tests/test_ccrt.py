@@ -142,6 +142,21 @@ class TestBinMaps:
         with pytest.raises(ValueError):
             doppler_to_velocity(100.0, 0.0)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda value: doppler_to_velocity(100.0, value), "wavelength"),
+        (lambda value: velocity_to_doppler(100.0, value), "wavelength"),
+        (lambda value: unfold([1, 2], reference_channels()[:2], 6700.0, wavelength_m=value),
+         "wavelength"),
+        (lambda value: unfold([1, 2], reference_channels()[:2], 6700.0, fmax_hz=value), "fmax_hz"),
+        (lambda value: unfold_tolerant([1, 2], reference_channels()[:2], 6700.0, fmax_hz=value),
+         "fmax_hz"),
+    ], ids=["doppler_to_velocity", "velocity_to_doppler", "unfold-wavelength", "unfold-fmax",
+            "unfold_tolerant-fmax"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_wavelength_or_window_is_refused_by_name(self, call, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            call(value)
+
     def test_common_bin_spacing(self):
         assert common_bin_spacing(reference_channels()) == pytest.approx(100.0, rel=1e-12)
         skewed = [

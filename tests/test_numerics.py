@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import fft, integrate
 from scipy.special import i0, i0e
 
 from subpulse import (
@@ -18,7 +18,7 @@ from subpulse import (
     integrate_semi_infinite,
     matched_filter,
 )
-from subpulse.numerics import _adaptive_kronrod
+from subpulse.numerics import _adaptive_kronrod, _next_fast_len
 
 
 class TestBesselI0Log:
@@ -251,6 +251,13 @@ class TestMatchedFilter:
     def test_replica_longer_than_rx_rejected(self):
         with pytest.raises(ValueError):
             matched_filter(np.ones(4), np.ones(5))
+
+    def test_fft_length_is_scipys_next_fast_len(self):
+        assert [_next_fast_len(n) for n in range(1, 20_001)] == [
+            fft.next_fast_len(n) for n in range(1, 20_001)
+        ]
+        # the README radar's four receive windows
+        assert [_next_fast_len(n) for n in (7273, 6154, 4706, 4211)] == [7290, 6160, 4725, 4224]
 
     @pytest.mark.parametrize("windows, replicas, window, length", [
         (None, None, 300, 70),  # one window, one replica

@@ -151,6 +151,15 @@ class TestEcho:
         with pytest.raises(ValueError):
             synth_echo(setup, setup.channels[0], truth, noise_sigma=0.5)
 
+    @pytest.mark.parametrize("noise_sigma", [math.nan, math.inf, -0.5])
+    def test_invalid_noise_sigma_is_refused_by_name(self, setup, noise_sigma):
+        # nan compares False both ways, so a bare `< 0` check lets it through
+        truth = TargetTruth(range_m=10e3, radial_velocity_mps=-900.0)
+        with pytest.raises(ValueError, match=f"noise_sigma must be finite and non-negative, got {noise_sigma}"):
+            synth_echo(setup, setup.channels[0], truth, rng=RngStream(1), noise_sigma=noise_sigma)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            run_pipeline(setup, truth, seed=1, noise_sigma=noise_sigma)
+
 
 class TestCompression:
     def test_stationary_subpeaks_are_one_nth_of_the_full_peak(self, setup):
