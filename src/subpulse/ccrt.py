@@ -162,6 +162,30 @@ def common_bin_spacing(channels: Sequence[PrfChannel]) -> float:
     return spacing
 
 
+def _check_spacings(channels: Sequence[PrfChannel], spacing_tolerance_hz: float) -> None:
+    """Refuse a channel set that cannot unfold under `spacing_tolerance_hz`.
+
+    Zero asks for exact unfolding, so one shared bin spacing; a positive
+    tolerance asks for coincidence mode, so bin spacings that spread no
+    wider than it. A negative or non-finite tolerance is refused by name.
+    """
+    if not (math.isfinite(spacing_tolerance_hz) and spacing_tolerance_hz >= 0):
+        raise ValueError(
+            "spacing_tolerance_hz must be finite and non-negative, "
+            f"got {spacing_tolerance_hz!r}"
+        )
+    if spacing_tolerance_hz == 0:
+        common_bin_spacing(channels)
+        return
+    spacings = [ch.bin_spacing for ch in channels]
+    spread = max(spacings) - min(spacings)
+    if spread > spacing_tolerance_hz:
+        raise ValueError(
+            f"bin spacings spread {spread:.6g} Hz exceeds "
+            f"spacing_tolerance_hz={spacing_tolerance_hz:.6g}"
+        )
+
+
 def _nearest_lattice(
     b: int,
     spacing: float,
@@ -242,6 +266,8 @@ def unfold_tolerant(
     """
     if len(residues) != len(channels):
         raise ValueError("one residue per channel required")
+    if not channels:
+        raise ValueError("channel list must be non-empty")
     mean_spacing = sum(ch.bin_spacing for ch in channels) / len(channels)
     moduli = tuple(ch.num_pulses for ch in channels)
     # mean_spacing as a channel of prf mean_spacing * M_0 reports it: the

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy
 
-from .ccrt import PrfChannel, ccrt_solve, common_bin_spacing
+from .ccrt import PrfChannel, _check_spacings, ccrt_solve
 from .detection_stats import (
     SNR_SCALE_DEFAULT,
     FusionRule,
@@ -205,22 +205,15 @@ def _parse_radar(
             raise ConfigError(f"radar.prf_hz[{i}] must be a positive finite number")
         pulses, subpulses = channels[i]
         prf_channels.append(PrfChannel(prf=float(prf), num_pulses=pulses, num_subpulses=subpulses))
-    spacings = [ch.bin_spacing for ch in prf_channels]
-    if spacing_tolerance_hz > 0:
-        spread = max(spacings) - min(spacings)
-        if spread > spacing_tolerance_hz:
-            raise ConfigError(
-                f"radar.prf_hz: bin spacings spread {spread:.6g} Hz exceeds "
-                f"spacing_tolerance_hz={spacing_tolerance_hz:.6g}"
-            )
-    else:
-        try:
-            common_bin_spacing(prf_channels)
-        except ValueError as err:
-            raise ConfigError(
-                f"radar.prf_hz: {err} (set 'spacing_tolerance_hz' or pass "
-                "--tolerance-hz to use coincidence-mode unfolding)"
-            ) from err
+    try:
+        _check_spacings(prf_channels, spacing_tolerance_hz)
+    except ValueError as err:
+        if spacing_tolerance_hz > 0:
+            raise ConfigError(f"radar.prf_hz: {err}") from err
+        raise ConfigError(
+            f"radar.prf_hz: {err} (set 'spacing_tolerance_hz' or pass "
+            "--tolerance-hz to use coincidence-mode unfolding)"
+        ) from err
     try:
         return RadarSetup.build(
             carrier_hz=carrier,
@@ -300,6 +293,11 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
     mc_batch = _need(mc_section, "batch_size", int, default=_DEFAULTS["mc_batch"])
     mc_seed = _need(mc_section, "seed", int)
     seed = _need(raw, "seed", int, default=mc_seed)
+    if mc_seed is not None and seed != mc_seed:
+        raise ConfigError(
+            f"fields 'seed' ({seed}) and 'mc.seed' ({mc_seed}) disagree; "
+            "set one of them, or both to the same value"
+        )
     for name, value in (("mc.seed", mc_seed), ("seed", seed)):
         if value is not None and value < 0:
             raise ConfigError(f"field '{name}' must be >= 0, got {value}")
@@ -322,6 +320,12 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         if spacing_tolerance < 0:
             raise ConfigError(
                 f"field 'spacing_tolerance_hz' must be >= 0, got {spacing_tolerance}"
+            )
+        subpulse_counts = sorted({subpulses for _, subpulses in channels})
+        if len(subpulse_counts) > 1:
+            raise ConfigError(
+                f"channels disagree on subpulse count: {subpulse_counts}; "
+                "simulate needs one subpulse count for every channel"
             )
         radar = _parse_radar(raw, channels, spacing_tolerance)
         section = _need(raw, "target", dict, default={})

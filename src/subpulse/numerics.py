@@ -4,13 +4,14 @@ Everything here is pure and reentrant. These are the primitives whose
 numerical contracts (tolerances, determinism, error behavior) the statistics
 code relies on; the simulator and the Monte Carlo rig call numpy
 directly where no such contract is needed. The quadrature is an adaptive
-Gauss-Kronrod (G7/K15) rule written in numpy that calls its integrand once
-per round on an array of nodes, for one integral or many at once, so the
-package never imports `scipy.integrate` (and with it `scipy.linalg`,
-`optimize` and `sparse`). The matched filter takes its FFTs from
-`numpy.fft` at scipy's 11-smooth lengths, and only `bessel_i0_log` imports
-`scipy.special`, on its first call, so the simulator, the Monte Carlo rig
-and the CCRT solver load neither `scipy.fft` nor `scipy.special`.
+Gauss-Kronrod (G7/K15) rule in numpy, so the package never imports
+`scipy.integrate` (nor `scipy.linalg`, `optimize` and `sparse`). It calls
+its integrand once a round on an array of nodes, for one integral or many
+at once, and sums every integral's panels with one `np.bincount`. The
+matched filter takes its FFTs from `numpy.fft` (numpy >= 2.0) at scipy's
+11-smooth lengths, and only `bessel_i0_log` imports `scipy.special`, on
+its first call, so the simulator, the Monte Carlo rig and the CCRT solver
+load neither `scipy.fft` nor `scipy.special`.
 """
 
 from __future__ import annotations
@@ -192,11 +193,13 @@ def _adaptive_kronrod(f, breakpoints: list) -> list:
     """(estimate, error bound, ConvergenceError or None) of every integral.
 
     `breakpoints` holds one sequence per integral; f(t, which) gets every
-    new node of a round in one call, with the index of its integral. The
-    panels live in flat arrays grouped by integral, each group in the order
-    a lone integral would keep them, so that every sum and every choice
-    comes out as it would alone.
+    new node of a round in one call, with the index of its integral. All
+    panels share flat arrays; a round keeps those it does not split, in
+    order, then appends the left and the right halves of those it does, so
+    every integral's panels keep a lone integral's order, and np.bincount,
+    summing in array order, gives each the bits it would have alone.
     """
+    n = len(breakpoints)
     starts, widths, tail, base, seg_owner, counts = [], [], [], [], [], []
     for index, points in enumerate(breakpoints):
         edges = [0.0] + sorted({float(p) for p in points if p > 0 and math.isfinite(p)})
@@ -212,28 +215,28 @@ def _adaptive_kronrod(f, breakpoints: list) -> list:
     seg = np.repeat(np.arange(seg_owner.size), _QUAD_START_PANELS)
     lo = starts[seg] + widths[seg] * np.tile(steps[:-1], seg_owner.size)
     hi = starts[seg] + widths[seg] * np.tile(steps[1:], seg_owner.size)
-    values = np.zeros(lo.size)
-    errors = np.zeros(lo.size)
-    fresh = np.ones(lo.size, dtype=bool)
-    outcomes = [None] * len(breakpoints)
+    values = errors = np.zeros(0)
+    totals = bounds = np.zeros(n)
+    # an integral is finished once it has converged or has no panel to split
+    finished = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", under="ignore"):
         while True:
             owner = seg_owner[seg]
-            values[fresh], errors[fresh] = _kronrod_panels(
-                f, lo[fresh], hi[fresh], tail[seg[fresh]], base[seg[fresh]], owner[fresh]
+            new = slice(values.size, None)
+            value, error = _kronrod_panels(
+                f, lo[new], hi[new], tail[seg[new]], base[seg[new]], owner[new]
             )
-            groups = np.flatnonzero(np.diff(owner)) + 1
-            tol = np.empty(lo.size)
-            done = np.zeros(lo.size, dtype=bool)
-            for a, b in zip([0, *groups.tolist()], [*groups.tolist(), lo.size]):
-                total = float(values[a:b].sum())
-                bound = float(errors[a:b].sum())
-                tol[a:b] = limit = max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(total))
-                outcomes[owner[a]] = (total, bound, limit)
-                done[a:b] = not math.isfinite(total) or bound <= 10.0 * limit
-            if done.all():
+            values = np.concatenate([values, value])
+            errors = np.concatenate([errors, error])
+            # a finished integral has no panels left and keeps its last sums
+            totals = np.where(finished, totals, np.bincount(owner, values, n))
+            bounds = np.where(finished, bounds, np.bincount(owner, errors, n))
+            limit = np.maximum(_QUAD_ABS_TOL, _QUAD_REL_TOL * np.abs(totals))
+            finished |= ~np.isfinite(totals) | (bounds <= 10.0 * limit)
+            if finished.all():
                 break
-            over = ~done & (errors > tol * (hi - lo) / widths[seg] / counts[owner])
+            share = limit[owner] * (hi - lo) / widths[seg] / counts[owner]
+            over = ~finished[owner] & (errors > share)
             # at the cap only a segment's worst panels are split
             room = _QUAD_SUBDIVISIONS - np.bincount(seg, minlength=seg_owner.size)
             wanted = np.bincount(seg[over], minlength=seg_owner.size)
@@ -241,24 +244,17 @@ def _adaptive_kronrod(f, breakpoints: list) -> list:
                 candidates = np.flatnonzero((seg == s) & over)
                 worst_first = np.argsort(-errors[candidates], kind="stable")
                 over[candidates[worst_first[room[s]:]]] = False
-            # an integral is finished once it has converged or has no panel to split
-            live = np.bincount(owner[over], minlength=len(breakpoints)) > 0
-            if not live.any():
+            finished |= np.bincount(owner[over], minlength=n) == 0
+            if finished.all():
                 break
-            stay = live[owner] & ~over
-            split = int(over.sum())
+            stay = ~finished[owner] & ~over
             mid = 0.5 * (lo[over] + hi[over])
             lo = np.concatenate([lo[stay], lo[over], mid])
             hi = np.concatenate([hi[stay], mid, hi[over]])
             seg = np.concatenate([seg[stay], seg[over], seg[over]])
-            values = np.concatenate([values[stay], np.zeros(2 * split)])
-            errors = np.concatenate([errors[stay], np.zeros(2 * split)])
-            fresh = np.arange(lo.size) >= lo.size - 2 * split
-            order = np.argsort(seg_owner[seg], kind="stable")
-            lo, hi, seg, values, errors, fresh = (
-                arr[order] for arr in (lo, hi, seg, values, errors, fresh)
-            )
-    for index, (total, bound, tol) in enumerate(outcomes):
+            values, errors = values[stay], errors[stay]
+    outcomes = []
+    for total, bound, tol in zip(totals.tolist(), bounds.tolist(), limit.tolist()):
         error = None
         if not math.isfinite(total):
             error = ConvergenceError("integral estimate is not finite", total, bound)
@@ -267,7 +263,7 @@ def _adaptive_kronrod(f, breakpoints: list) -> list:
                 f"quadrature error bound {bound:.3e} exceeds tolerance for estimate {total:.6e}",
                 total, bound,
             )
-        outcomes[index] = (total, bound, error)
+        outcomes.append((total, bound, error))
     return outcomes
 
 
@@ -359,5 +355,6 @@ def matched_filter(rx, replica) -> np.ndarray:
     # one window at a time: the full (window, replica, n) product would hold
     # several times the output in memory at once
     for row_out, spectrum in zip(out, np.fft.fft(windows, n=nfft)):
-        row_out[:] = np.fft.ifft(spectrum * replica_spectra)[..., :out_len]
+        product = spectrum * replica_spectra
+        row_out[:] = np.fft.ifft(product, out=product)[..., :out_len]
     return out if rx_arr.ndim == 2 else out[0]

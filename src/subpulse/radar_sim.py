@@ -33,11 +33,12 @@ from .ccrt import (
     OutOfWindowError,
     PrfChannel,
     UnfoldResult,
+    _check_spacings,
     unfold,
     unfold_tolerant,
     velocity_to_doppler,
 )
-from .numerics import RngStream, _thread_map, matched_filter
+from .numerics import RngStream, _integral, _thread_map, matched_filter
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -219,6 +220,7 @@ def split_subpulses(replica: Sequence, n: int) -> list:
     the segments reproduces the replica.
     """
     arr = np.asarray(replica)
+    n = _integral(n, "subpulse count")
     if n < 1:
         raise ValueError(f"subpulse count must be >= 1, got {n}")
     if n > arr.size:
@@ -373,10 +375,18 @@ def detect_and_unfold(
     A positive spacing_tolerance_hz switches to coincidence-mode unfolding
     (mean bin spacing, residues snapped within one bin) for channel sets
     whose spacings differ by at most that much; exact congruence unfolding
-    is the reference behavior and stays the default.
+    is the reference behavior and stays the default. A ValueError, whatever
+    the maps hold, when the channels' bin spacings do not meet the
+    tolerance, when the tolerance is negative or not finite, or when the
+    channels disagree on the subpulse count.
     """
     if not maps:
         raise ValueError("at least one channel map is required")
+    channels = [m.channel for m in maps]
+    _check_spacings(channels, spacing_tolerance_hz)
+    subpulse_counts = {ch.num_subpulses for ch in channels}
+    if len(subpulse_counts) != 1:
+        raise ValueError(f"channels disagree on subpulse count: {sorted(subpulse_counts)}")
     detections = []
     coarse_votes = []
     for dmap in maps:
@@ -404,16 +414,13 @@ def detect_and_unfold(
     detections = tuple(detections)
     if not all(d.detected for d in detections):
         return DetectionReport(channels=detections, fused=None, velocity_mps=math.nan, detected=False)
-    subpulse_counts = {m.channel.num_subpulses for m in maps}
-    if len(subpulse_counts) != 1:
-        raise ValueError(f"channels disagree on subpulse count: {sorted(subpulse_counts)}")
     fmax = subpulse_counts.pop() / (2.0 * setup.pulse_width_s)
     coarse = float(np.median(coarse_votes))
     unfolder = unfold_tolerant if spacing_tolerance_hz > 0 else unfold
     try:
         fused = unfolder(
             residues=[d.apparent_bin for d in detections],
-            channels=[m.channel for m in maps],
+            channels=channels,
             coarse_hz=coarse,
             fmax_hz=fmax,
             wavelength_m=setup.wavelength_m,

@@ -195,6 +195,11 @@ class TestUnfold:
         with pytest.raises(OutOfWindowError):
             unfold([3, 10, 2, 17], reference_channels(), coarse_hz=0.0, fmax_hz=10.0)
 
+    @pytest.mark.parametrize("unfolder", [unfold, unfold_tolerant])
+    def test_empty_channel_list_is_refused_by_name(self, unfolder):
+        with pytest.raises(ValueError, match="channel list must be non-empty"):
+            unfolder([], [], 0.0)
+
     def test_residue_count_must_match(self):
         with pytest.raises(ValueError):
             unfold([1, 2], reference_channels(), coarse_hz=0.0)

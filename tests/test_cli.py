@@ -470,6 +470,21 @@ class TestSimulateMode:
         assert all(int(row["all_detected"]) == 1 for row in rows)
         assert abs(float(rows[0]["velocity_mps"]) + 900.0) <= 4.0
 
+    def test_spacing_errors_keep_their_wording(self, tmp_path, capsys):
+        config = radar_config(tmp_path, "skew.csv", prf_hz=(1100, 1300, 1700.3, 1900))
+        assert main(["simulate", config]) == 2
+        assert capsys.readouterr().err == (
+            "config error: radar.prf_hz: channels do not share a common bin spacing: "
+            "100.0 Hz vs 100.01764705882353 Hz; exact congruence unfolding requires "
+            "prf_i = M_i * spacing with one spacing (set 'spacing_tolerance_hz' or pass "
+            "--tolerance-hz to use coincidence-mode unfolding)\n"
+        )
+        assert main(["simulate", config, "--tolerance-hz", "1e-6"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: radar.prf_hz: bin spacings spread 0.0176471 Hz exceeds "
+            "spacing_tolerance_hz=1e-06\n"
+        )
+
 
 class TestConfigErrors:
     def test_malformed_json_reports_line_and_column(self, tmp_path, capsys):
@@ -544,6 +559,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"seed": 1, "mc": {"seed": 2}}, []),
+        ({"mc": {"seed": 2}}, ["--seed", "1"]),
+    ], ids=["config", "seed-flag"])
+    def test_disagreeing_seed_and_mc_seed_are_refused(self, tmp_path, capsys, overrides, flags):
+        config = sweep_config(tmp_path, "seeds.csv", **overrides)
+        assert main(["mc", config, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'seed' (1)" in err and "'mc.seed' (2)" in err
+        assert not (tmp_path / "seeds.csv").exists()
+
+    def test_simulate_refuses_mixed_subpulse_counts(self, tmp_path, capsys):
+        channels = [{"pulses": 11, "subpulses": 8}, {"pulses": 13, "subpulses": 4}]
+        config = radar_config(tmp_path, "mixed.csv", prf_hz=(1100, 1300), channels=channels)
+        assert main(["simulate", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "subpulse count: [4, 8]" in err
+        assert not (tmp_path / "mixed.csv").exists()
 
     @pytest.mark.parametrize("command, make, overrides, flags, field", [
         ("pd", sweep_config, {}, ["--seed", "9"], "'seed'"),

@@ -107,6 +107,10 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_subpulses(np.arange(4), 5)
 
+    def test_non_integral_count_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="subpulse count must be an integer, got 2.5"):
+            split_subpulses(np.arange(40), 2.5)
+
 
 class TestEcho:
     def test_stationary_target_compresses_to_full_gain(self, setup):
@@ -410,6 +414,37 @@ class TestDetection:
     def test_empty_map_list_rejected(self, setup):
         with pytest.raises(ValueError):
             detect_and_unfold([], setup)
+
+    @pytest.mark.parametrize("prfs, tolerance, match", [
+        ((1100, 1300, 1700.3, 1900), 1e-6,
+         r"bin spacings spread 0\.0176471 Hz exceeds spacing_tolerance_hz=1e-06"),
+        ((1100, 1300, 1700, 1900), math.nan, "spacing_tolerance_hz must be finite and non-negative"),
+        ((1100, 1300, 1700, 1900), math.inf, "spacing_tolerance_hz must be finite and non-negative"),
+        ((1100, 1300, 1700, 1900), -1.0, "spacing_tolerance_hz must be finite and non-negative"),
+    ], ids=["spread-above-tolerance", "nan", "inf", "negative"])
+    def test_pipeline_honours_the_spacing_tolerance(self, prfs, tolerance, match):
+        channels = [
+            PrfChannel(prf=prf, num_pulses=m, num_subpulses=8) for prf, m in zip(prfs, MODULI)
+        ]
+        skewed = RadarSetup.build(
+            carrier_hz=6e9, pulse_width_s=25e-6, bandwidth_hz=2e6, channels=channels
+        )
+        with pytest.raises(ValueError, match=match):
+            run_pipeline(skewed, TargetTruth(10e3, -900.0), spacing_tolerance_hz=tolerance)
+
+    def test_mixed_subpulse_counts_are_refused_below_the_threshold_too(self, setup):
+        # flat maps: peak over median is 1, so no channel reaches the threshold
+        maps = [
+            radar_sim.DopplerMap(
+                channel=PrfChannel(prf=100.0 * m, num_pulses=m, num_subpulses=n),
+                pp=np.ones((m, 5)),
+                sp=np.ones((m, n, 5)),
+            )
+            for m, n in ((11, 8), (13, 4))
+        ]
+        with pytest.raises(ValueError, match=r"channels disagree on subpulse count: \[4, 8\]"):
+            detect_and_unfold(maps, setup)
+        assert not detect_and_unfold(maps[:1], setup).detected
 
 
 class TestExport:
