@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy
 
-from .ccrt import PrfChannel, _check_spacings, ccrt_solve
+from .ccrt import NotInvertibleError, PrfChannel, _check_moduli, _check_spacings, ccrt_solve
 from .detection_stats import (
     SNR_SCALE_DEFAULT,
     FusionRule,
@@ -82,6 +82,8 @@ SCHEMAS = {
     ),
 }
 MODES = tuple(SCHEMAS)
+# modes that read the SNR grid and the channel model
+_SWEEP_MODES = frozenset({"pd_sweep", "pfa_sweep", "fused_sweep", "mc_validate"})
 # modes that read an `mc` section and the Monte Carlo flags
 _MC_MODES = frozenset({"pd_sweep", "pfa_sweep", "mc_validate"})
 
@@ -144,11 +146,12 @@ def _parse_json(path) -> dict:
 
 
 def _need(raw: dict, key: str, kind, *, default=None, required=False):
+    """Take `key` out of `raw`, a working copy; an object comes back as a copy."""
     if key not in raw:
         if required:
             raise ConfigError(f"missing required field '{key}'")
         return default
-    value = raw[key]
+    value = raw.pop(key)
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         # json accepts NaN and Infinity, which no field of this config allows
         if not math.isfinite(value):
@@ -158,10 +161,27 @@ def _need(raw: dict, key: str, kind, *, default=None, required=False):
         return value
     if not isinstance(value, kind):
         raise ConfigError(f"field '{key}' must be {kind.__name__}, got {type(value).__name__}")
-    return value
+    return dict(value) if kind is dict else value
 
 
-def _parse_channels(raw: dict) -> tuple[tuple[int, int], ...]:
+# said with the refusal of a key that only some runs read, or that is gone
+_UNREAD_HINTS = {
+    "seed": "'seed' is read only by runs that draw random numbers: mc, simulate, "
+    "and pd/pfa with an 'mc' section",
+    "mc.seed": "the Monte Carlo seed is 'seed' (or --seed)",
+    "fusion.total": "the vote total is the channel count",
+}
+
+
+def _refuse_unread(left: dict, path: str, mode: str) -> None:
+    """Refuse the keys a run did not take out of `left`, one object of its config."""
+    if left:
+        names = [path + key for key in sorted(left)]
+        hints = "".join(f"; {_UNREAD_HINTS[name]}" for name in names if name in _UNREAD_HINTS)
+        raise ConfigError(f"{mode} runs do not read {', '.join(map(repr, names))}{hints}")
+
+
+def _parse_channels(raw: dict, mode: str) -> tuple[tuple[int, int], ...]:
     items = _need(raw, "channels", list, required=True)
     if not items:
         raise ConfigError("field 'channels' must be a non-empty list")
@@ -169,20 +189,20 @@ def _parse_channels(raw: dict) -> tuple[tuple[int, int], ...]:
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ConfigError(f"channels[{i}] must be an object with 'pulses' and 'subpulses'")
-        for key in ("pulses", "subpulses"):
-            v = item.get(key, 1 if key == "subpulses" else None)
+        entry = dict(item)
+        counts = (entry.pop("pulses", None), entry.pop("subpulses", 1))
+        for key, v in zip(("pulses", "subpulses"), counts):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ConfigError(f"channels[{i}].{key} must be a positive integer")
-        channels.append((item["pulses"], item.get("subpulses", 1)))
-    for i in range(len(channels)):
-        for j in range(i + 1, len(channels)):
-            g = math.gcd(channels[i][0], channels[j][0])
-            if g != 1:
-                raise ConfigError(
-                    f"channels[{i}].pulses={channels[i][0]} and "
-                    f"channels[{j}].pulses={channels[j][0]} are not coprime (gcd {g}); "
-                    "congruence unfolding needs pairwise-coprime pulse counts"
-                )
+        _refuse_unread(entry, f"channels[{i}].", mode)
+        channels.append(counts)
+    try:
+        _check_moduli(tuple(pulses for pulses, _ in channels))
+    except NotInvertibleError as err:
+        raise ConfigError(
+            f"channels[].pulses: {err}; "
+            "congruence unfolding needs pairwise-coprime pulse counts"
+        ) from err
     return tuple(channels)
 
 
@@ -195,6 +215,7 @@ def _parse_radar(
     bandwidth = _need(section, "bandwidth_hz", float, required=True)
     fs = _need(section, "sample_rate_hz", float)
     prfs = _need(section, "prf_hz", list, required=True)
+    _refuse_unread(section, "radar.", "simulate")
     if len(prfs) != len(channels):
         raise ConfigError(
             f"radar.prf_hz has {len(prfs)} entries but 'channels' has {len(channels)}"
@@ -232,7 +253,9 @@ def _draws_mc(mode: str, raw: dict) -> bool:
 
 
 def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentConfig:
-    file_mode = _need(raw, "mode", str)
+    """Parse `raw` for one mode; each key is taken out as it is read, and the rest refused."""
+    left = dict(raw)
+    file_mode = _need(left, "mode", str)
     if file_mode is not None and mode is not None and file_mode != mode:
         raise ConfigError(f"config mode '{file_mode}' conflicts with subcommand mode '{mode}'")
     effective = file_mode or mode
@@ -240,82 +263,62 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         raise ConfigError("missing required field 'mode' (or pass a subcommand)")
     if effective not in MODES:
         raise ConfigError(f"field 'mode' must be one of {MODES}, got '{effective}'")
-    raw = dict(raw)
-    raw["mode"] = effective
+    raw = {**raw, "mode": effective}
+    channels = _parse_channels(left, effective)
+    parsed = {}
 
-    channels = _parse_channels(raw)
-    lambda1 = _need(raw, "lambda1", float, default=_DEFAULTS["lambda1"])
-    lambda2 = _need(raw, "lambda2", float, default=_DEFAULTS["lambda2"])
-    for name, lam in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not 0.0 < lam < 1.0:
-            raise ConfigError(f"field '{name}' must lie strictly between 0 and 1, got {lam}")
-    snr_scale = _need(raw, "snr_scale", float, default=_DEFAULTS["snr_scale"])
-    if snr_scale <= 0:
-        raise ConfigError(f"field 'snr_scale' must be positive, got {snr_scale}")
-
-    snr_grid = ()
-    if effective in ("pd_sweep", "pfa_sweep", "fused_sweep", "mc_validate"):
-        grid = _need(raw, "snr_db", dict, required=True)
+    if effective in _SWEEP_MODES:
+        for name in ("lambda1", "lambda2"):
+            lam = parsed[name] = _need(left, name, float, default=_DEFAULTS[name])
+            if not 0.0 < lam < 1.0:
+                raise ConfigError(f"field '{name}' must lie strictly between 0 and 1, got {lam}")
+        snr_scale = parsed["snr_scale"] = _need(
+            left, "snr_scale", float, default=_DEFAULTS["snr_scale"]
+        )
+        if snr_scale <= 0:
+            raise ConfigError(f"field 'snr_scale' must be positive, got {snr_scale}")
+        grid = _need(left, "snr_db", dict, required=True)
         start = _need(grid, "start", float, required=True)
         stop = _need(grid, "stop", float, required=True)
         step = _need(grid, "step", float, default=1.0)
+        _refuse_unread(grid, "snr_db.", effective)
         if step <= 0:
             raise ConfigError(f"snr_db.step must be > 0, got {step}")
         if stop < start:
             raise ConfigError(f"snr_db grid is empty: start {start} exceeds stop {stop}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        snr_grid = tuple(start + i * step for i in range(count))
+        parsed["snr_grid"] = tuple(start + i * step for i in range(count))
 
-    fusion = None
     if effective == "fused_sweep":
-        section = _need(raw, "fusion", dict, default={})
+        section = _need(left, "fusion", dict, default={})
         required = _need(section, "required", int, default=len(channels))
-        total = _need(section, "total", int, default=len(channels))
-        if total != len(channels):
-            raise ConfigError(
-                f"fusion.total={total} must equal the channel count {len(channels)}"
-            )
+        _refuse_unread(section, "fusion.", effective)
         try:
-            fusion = FusionRule(required=required, total=total)
+            parsed["fusion"] = FusionRule(required=required, total=len(channels))
         except ValueError as err:
             raise ConfigError(f"fusion: {err}") from err
 
-    mc_section = _need(raw, "mc", dict, default={})
-    if "mc" in raw and effective not in _MC_MODES:
-        raise ConfigError(f"field 'mc' is read only by pd, pfa and mc runs, not {effective}")
-    # an mc.seed can only sit in a run that draws Monte Carlo, after the rule above
-    if "seed" in raw and not (_draws_mc(effective, raw) or effective == "simulate"):
-        raise ConfigError(
-            f"field 'seed' is read only by runs that draw random numbers (mc, simulate, "
-            f"or pd/pfa with an 'mc' section); this {effective} run draws none"
-        )
-    mc_trials = _need(mc_section, "trials", int, default=_DEFAULTS["mc_trials"])
-    mc_batch = _need(mc_section, "batch_size", int, default=_DEFAULTS["mc_batch"])
-    mc_seed = _need(mc_section, "seed", int)
-    seed = _need(raw, "seed", int, default=mc_seed)
-    if mc_seed is not None and seed != mc_seed:
-        raise ConfigError(
-            f"fields 'seed' ({seed}) and 'mc.seed' ({mc_seed}) disagree; "
-            "set one of them, or both to the same value"
-        )
-    for name, value in (("mc.seed", mc_seed), ("seed", seed)):
-        if value is not None and value < 0:
-            raise ConfigError(f"field '{name}' must be >= 0, got {value}")
-    if mc_trials < 1:
-        raise ConfigError(f"mc.trials must be >= 1, got {mc_trials}")
-    if mc_batch < 1:
-        raise ConfigError(f"mc.batch_size must be >= 1, got {mc_batch}")
+    if effective in _MC_MODES:
+        section = _need(left, "mc", dict, default={})
+        for key, name in (("trials", "mc_trials"), ("batch_size", "mc_batch")):
+            value = parsed[name] = _need(section, key, int, default=_DEFAULTS[name])
+            if value < 1:
+                raise ConfigError(f"mc.{key} must be >= 1, got {value}")
+        _refuse_unread(section, "mc.", effective)
 
-    if _draws_mc(effective, raw) and seed is None:
-        raise ConfigError(
-            "an explicit seed is required when Monte Carlo runs "
-            "(set 'seed' or 'mc.seed' in the config, or pass --seed)"
-        )
+    if _draws_mc(effective, raw) or effective == "simulate":
+        seed = parsed["seed"] = _need(left, "seed", int)
+        if seed is not None and seed < 0:
+            raise ConfigError(f"field 'seed' must be >= 0, got {seed}")
+        if seed is None and effective != "simulate":
+            raise ConfigError(
+                "an explicit seed is required when Monte Carlo runs "
+                "(set 'seed' in the config, or pass --seed)"
+            )
 
-    simulated = {}
     if effective == "simulate":
         spacing_tolerance = _need(
-            raw, "spacing_tolerance_hz", float, default=_DEFAULTS["spacing_tolerance_hz"]
+            left, "spacing_tolerance_hz", float, default=_DEFAULTS["spacing_tolerance_hz"]
         )
         if spacing_tolerance < 0:
             raise ConfigError(
@@ -327,46 +330,35 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
                 f"channels disagree on subpulse count: {subpulse_counts}; "
                 "simulate needs one subpulse count for every channel"
             )
-        radar = _parse_radar(raw, channels, spacing_tolerance)
-        section = _need(raw, "target", dict, default={})
+        radar = _parse_radar(left, channels, spacing_tolerance)
+        section = _need(left, "target", dict, default={})
         range_m = _need(section, "range_m", float, default=10_000.0)
         velocity = _need(section, "velocity_mps", float, default=-900.0)
         amplitude = _need(section, "amplitude", float, default=TargetTruth.amplitude)
+        _refuse_unread(section, "target.", effective)
         try:
             target = TargetTruth(
                 range_m=range_m, radial_velocity_mps=velocity, amplitude=amplitude
             )
         except ValueError as err:
             raise ConfigError(f"target: {err}") from err
-        noise_sigma = _need(raw, "noise_sigma", float, default=_DEFAULTS["noise_sigma"])
+        noise_sigma = _need(left, "noise_sigma", float, default=_DEFAULTS["noise_sigma"])
         if noise_sigma < 0:
             raise ConfigError(f"field 'noise_sigma' must be >= 0, got {noise_sigma}")
-        simulated = dict(
+        parsed.update(
             radar=radar,
             target=target,
             noise_sigma=noise_sigma,
             spacing_tolerance_hz=spacing_tolerance,
-            export_map_files=_need(raw, "export_maps", bool, default=_DEFAULTS["export_map_files"]),
+            export_map_files=_need(left, "export_maps", bool, default=_DEFAULTS["export_map_files"]),
         )
 
-    output_path = _need(raw, "output_path", str, default=_DEFAULTS["output_path"])
+    output_path = _need(left, "output_path", str, default=_DEFAULTS["output_path"])
     if not output_path:
         raise ConfigError("field 'output_path' must be a non-empty path")
-
+    _refuse_unread(left, "", effective)
     return ExperimentConfig(
-        mode=effective,
-        channels=channels,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        snr_grid=snr_grid,
-        snr_scale=snr_scale,
-        fusion=fusion,
-        mc_trials=mc_trials,
-        mc_batch=mc_batch,
-        seed=seed,
-        output_path=output_path,
-        raw=raw,
-        **simulated,
+        mode=effective, channels=channels, output_path=output_path, raw=raw, **parsed
     )
 
 
@@ -375,7 +367,8 @@ def load_config(path, *, mode: Optional[str] = None) -> ExperimentConfig:
 
     Cross-field rules (pairwise-coprime pulse counts, one shared bin spacing,
     sample rate covering the sweep bandwidth, non-empty SNR grid) are all
-    enforced here so every later stage can assume a coherent setup.
+    enforced here so every later stage can assume a coherent setup. A key
+    the mode does not read is refused by its dotted path.
     """
     return _config_from_dict(_parse_json(path), mode=mode)
 
@@ -691,7 +684,7 @@ _FLAGS = (
     ("--seed", ("seed",), int, "override the run seed", _MC_MODES | _SIMULATE),
     ("--trials", ("mc", "trials"), int, "override mc.trials", _MC_MODES),
     ("--batch-size", ("mc", "batch_size"), int, "override mc.batch_size", _MC_MODES),
-    ("--snr-scale", ("snr_scale",), float, "override snr_scale", _MC_MODES | {"fused_sweep"}),
+    ("--snr-scale", ("snr_scale",), float, "override snr_scale", _SWEEP_MODES),
     ("--noise-sigma", ("noise_sigma",), float, "override noise_sigma", _SIMULATE),
     ("--tolerance-hz", ("spacing_tolerance_hz",), float,
      "allow unequal bin spacings up to this spread (coincidence mode)", _SIMULATE),
@@ -745,7 +738,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    result = run(config)
+    try:
+        result = run(config)
+    except OSError as err:  # the CSV or manifest could not be written
+        print(f"run error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     if result.error is not None:
         print(f"run error: {result.error['type']}: {result.error['message']}", file=sys.stderr)
     for failure in result.failures:

@@ -1,5 +1,6 @@
 """Command-line contract: config parsing, CSV schemas, manifests, rerun byte-identity."""
 
+import copy
 import hashlib
 import json
 import math
@@ -90,7 +91,7 @@ class TestDetectionSweeps:
         config = write_config(tmp_path, "fused.json", {
             "channels": [{"pulses": p, "subpulses": 8} for p in (7, 11, 13, 17)],
             "snr_db": {"start": 2.0, "stop": 2.0, "step": 1.0},
-            "fusion": {"required": 1, "total": 4},
+            "fusion": {"required": 1},
             "output_path": str(tmp_path / "fused.csv"),
         })
         assert main(["fused", config]) == 0
@@ -273,6 +274,19 @@ class TestManifest:
             assert flag in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+
+    @pytest.mark.parametrize("output, error", [
+        ("d", "IsADirectoryError"), ("f/out.csv", "FileExistsError"),
+    ], ids=["directory", "under-a-file"])
+    def test_a_write_error_is_a_run_error(self, tmp_path, capsys, output, error):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text("")
+        config = write_config(tmp_path, "w.json", {
+            "channels": [{"pulses": 3}, {"pulses": 5}],
+            "output_path": str(tmp_path / output),
+        })
+        assert main(["ccrt-check", config]) == 1
+        assert capsys.readouterr().err.startswith(f"run error: {error}: ")
 
     @pytest.mark.parametrize("command, flag", [
         ("ccrt-check", "--seed"), ("ccrt-check", "--trials"), ("ccrt-check", "--batch-size"),
@@ -565,11 +579,16 @@ class TestConfigErrors:
         ({"mc": {"seed": 2}}, ["--seed", "1"]),
     ], ids=["config", "seed-flag"])
     def test_disagreeing_seed_and_mc_seed_are_refused(self, tmp_path, capsys, overrides, flags):
+        # 'seed' is the one spelling of the Monte Carlo seed; mc.seed is refused
         config = sweep_config(tmp_path, "seeds.csv", **overrides)
         assert main(["mc", config, *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "'seed' (1)" in err and "'mc.seed' (2)" in err
+        assert err == (
+            "config error: mc_validate runs do not read 'mc.seed'; "
+            "the Monte Carlo seed is 'seed' (or --seed)\n"
+        )
         assert not (tmp_path / "seeds.csv").exists()
+        assert not (tmp_path / "seeds.csv.manifest.json").exists()
 
     def test_simulate_refuses_mixed_subpulse_counts(self, tmp_path, capsys):
         channels = [{"pulses": 11, "subpulses": 8}, {"pulses": 13, "subpulses": 4}]
@@ -614,3 +633,81 @@ class TestConfigErrors:
         section = next(iter(overrides))
         assert err.startswith("config error:") and f"field '{section}' must be dict" in err
         assert not (tmp_path / "bad.csv").exists()
+
+
+# Every key each subcommand reads, as the one config that sets them all (pd and
+# pfa read `seed` only beside an `mc` section); channel entries read `pulses`
+# and `subpulses` in every mode. A mode refuses any other key, by its path.
+_SWEEP_KEYS = {
+    "lambda1": 0.5, "lambda2": 0.99, "snr_scale": 1.0,
+    "snr_db": {"start": 10.0, "stop": 10.0, "step": 1.0},
+}
+_MC_KEYS = {"mc": {"trials": 100, "batch_size": 100}, "seed": 1}
+KEYS_READ = {
+    "pd": {**_SWEEP_KEYS, **_MC_KEYS},
+    "pfa": {**_SWEEP_KEYS, **_MC_KEYS},
+    "fused": {**_SWEEP_KEYS, "fusion": {"required": 1}},
+    "mc": {**_SWEEP_KEYS, **_MC_KEYS},
+    "ccrt-check": {},
+    "simulate": {
+        "radar": {
+            "carrier_hz": 6e9, "pulse_width_s": 25e-6, "bandwidth_hz": 2e6,
+            "sample_rate_hz": 8e6, "prf_hz": [1100, 1300],
+        },
+        "target": {"range_m": 10000.0, "velocity_mps": -900.0, "amplitude": 1.0},
+        "noise_sigma": 0.0, "spacing_tolerance_hz": 0.0, "export_maps": False, "seed": 1,
+    },
+}
+
+
+def full_config(tmp_path, command):
+    return copy.deepcopy({
+        "mode": cli_io._SUBCOMMANDS[command],
+        "channels": [{"pulses": 11, "subpulses": 8}, {"pulses": 13, "subpulses": 8}],
+        **KEYS_READ[command],
+        "output_path": str(tmp_path / "keys.csv"),
+    })
+
+
+def key_paths(value, prefix=""):
+    """Dotted paths of every key in a config; `channels[]` stands for each entry."""
+    if isinstance(value, list):
+        return set().union(*(key_paths(item, prefix[:-1] + "[].") for item in value))
+    if not isinstance(value, dict):
+        return set()
+    return set().union(*({prefix + k} | key_paths(v, f"{prefix}{k}.") for k, v in value.items()))
+
+
+class TestKeyContract:
+    def test_the_table_names_every_known_key_path(self, tmp_path):
+        paths = set().union(*(key_paths(full_config(tmp_path, c)) for c in KEYS_READ))
+        assert len(paths) == 31
+        assert "mc.seed" not in paths and "fusion.total" not in paths
+
+    @pytest.mark.parametrize("command", list(KEYS_READ))
+    def test_a_config_with_every_key_the_mode_reads_loads(self, tmp_path, command):
+        full = full_config(tmp_path, command)
+        config = cli_io._config_from_dict(full, mode=cli_io._SUBCOMMANDS[command])
+        assert config.raw == full
+
+    @pytest.mark.parametrize("command", list(KEYS_READ))
+    def test_every_key_the_mode_does_not_read_is_refused_by_path(
+        self, tmp_path, capsys, command
+    ):
+        full = full_config(tmp_path, command)
+        paths = set().union(*(key_paths(full_config(tmp_path, c)) for c in KEYS_READ))
+        known = {path.rsplit(".", 1)[-1] for path in paths}
+        # the top level, every section the mode reads, and a channel entry
+        objects = [("", full), ("channels[1].", full["channels"][1])]
+        objects += [(f"{key}.", value) for key, value in full.items() if isinstance(value, dict)]
+        for prefix, obj in objects:
+            for name in sorted(known - set(obj)) + ["colour"]:
+                obj[name] = 1
+                config = write_config(tmp_path, "keys.json", full)
+                del obj[name]
+                assert main([command, config]) == 2, prefix + name
+                err = capsys.readouterr().err
+                assert err.startswith("config error:") and repr(prefix + name) in err, err
+                if prefix + name == "seed":
+                    assert "mc, simulate, and pd/pfa with an 'mc' section" in err
+        assert not list(tmp_path.glob("keys.csv*"))
