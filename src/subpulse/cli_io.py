@@ -40,6 +40,9 @@ from .montecarlo import McConfig, estimate
 from .radar_sim import (
     RadarSetup,
     TargetTruth,
+    _simulate_and_detect,
+    # simulate runs through _simulate_and_detect and calls neither of these
+    # two here, but perfbench/tracing.py wraps them at these names
     detect_and_unfold,
     export_maps,
     simulate_channel,
@@ -146,12 +149,17 @@ def _parse_json(path) -> dict:
 
 
 def _need(raw: dict, key: str, kind, *, default=None, required=False):
-    """Take `key` out of `raw`, a working copy; an object comes back as a copy."""
-    if key not in raw:
+    """Take `key` out of `raw`, a working copy; an object comes back as a copy.
+
+    A key inside a section is given by its dotted path, `snr_db.start`, and
+    its errors name that path.
+    """
+    name = key.rpartition(".")[2]
+    if name not in raw:
         if required:
             raise ConfigError(f"missing required field '{key}'")
         return default
-    value = raw.pop(key)
+    value = raw.pop(name)
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         # json accepts NaN and Infinity, which no field of this config allows
         if not math.isfinite(value):
@@ -210,11 +218,11 @@ def _parse_radar(
     raw: dict, channels: tuple[tuple[int, int], ...], spacing_tolerance_hz: float
 ) -> RadarSetup:
     section = _need(raw, "radar", dict, required=True)
-    carrier = _need(section, "carrier_hz", float, required=True)
-    width = _need(section, "pulse_width_s", float, required=True)
-    bandwidth = _need(section, "bandwidth_hz", float, required=True)
-    fs = _need(section, "sample_rate_hz", float)
-    prfs = _need(section, "prf_hz", list, required=True)
+    carrier = _need(section, "radar.carrier_hz", float, required=True)
+    width = _need(section, "radar.pulse_width_s", float, required=True)
+    bandwidth = _need(section, "radar.bandwidth_hz", float, required=True)
+    fs = _need(section, "radar.sample_rate_hz", float)
+    prfs = _need(section, "radar.prf_hz", list, required=True)
     _refuse_unread(section, "radar.", "simulate")
     if len(prfs) != len(channels):
         raise ConfigError(
@@ -278,9 +286,9 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         if snr_scale <= 0:
             raise ConfigError(f"field 'snr_scale' must be positive, got {snr_scale}")
         grid = _need(left, "snr_db", dict, required=True)
-        start = _need(grid, "start", float, required=True)
-        stop = _need(grid, "stop", float, required=True)
-        step = _need(grid, "step", float, default=1.0)
+        start = _need(grid, "snr_db.start", float, required=True)
+        stop = _need(grid, "snr_db.stop", float, required=True)
+        step = _need(grid, "snr_db.step", float, default=1.0)
         _refuse_unread(grid, "snr_db.", effective)
         if step <= 0:
             raise ConfigError(f"snr_db.step must be > 0, got {step}")
@@ -291,7 +299,7 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
 
     if effective == "fused_sweep":
         section = _need(left, "fusion", dict, default={})
-        required = _need(section, "required", int, default=len(channels))
+        required = _need(section, "fusion.required", int, default=len(channels))
         _refuse_unread(section, "fusion.", effective)
         try:
             parsed["fusion"] = FusionRule(required=required, total=len(channels))
@@ -301,7 +309,7 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
     if effective in _MC_MODES:
         section = _need(left, "mc", dict, default={})
         for key, name in (("trials", "mc_trials"), ("batch_size", "mc_batch")):
-            value = parsed[name] = _need(section, key, int, default=_DEFAULTS[name])
+            value = parsed[name] = _need(section, f"mc.{key}", int, default=_DEFAULTS[name])
             if value < 1:
                 raise ConfigError(f"mc.{key} must be >= 1, got {value}")
         _refuse_unread(section, "mc.", effective)
@@ -332,9 +340,9 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
             )
         radar = _parse_radar(left, channels, spacing_tolerance)
         section = _need(left, "target", dict, default={})
-        range_m = _need(section, "range_m", float, default=10_000.0)
-        velocity = _need(section, "velocity_mps", float, default=-900.0)
-        amplitude = _need(section, "amplitude", float, default=TargetTruth.amplitude)
+        range_m = _need(section, "target.range_m", float, default=10_000.0)
+        velocity = _need(section, "target.velocity_mps", float, default=-900.0)
+        amplitude = _need(section, "target.amplitude", float, default=TargetTruth.amplitude)
         _refuse_unread(section, "target.", effective)
         try:
             target = TargetTruth(
@@ -528,24 +536,21 @@ def _rows_ccrt_check(config: ExperimentConfig, failures: list):
 
 
 def _rows_simulate(config: ExperimentConfig, failures: list, exports: list):
-    from .numerics import RngStream, _thread_map
-
     setup = config.radar
 
-    def channel_maps(index: int):
-        rng = RngStream(config.seed, stream_id=index) if config.seed is not None else None
-        return simulate_channel(
-            setup, setup.channels[index], config.target, rng=rng, noise_sigma=config.noise_sigma
-        )
+    def export(index: int, dmap) -> list:
+        base = str(Path(config.output_path).with_suffix("")) + f".ch{index}"
+        return [name for p in export_maps(dmap, base) for name in (str(p), str(p) + ".json")]
 
-    maps = _thread_map(channel_maps, len(setup.channels))
-    if config.export_map_files:
-        for index, dmap in enumerate(maps):
-            base = str(Path(config.output_path).with_suffix("")) + f".ch{index}"
-            for p in export_maps(dmap, base):
-                exports.append(str(p))
-                exports.append(str(p) + ".json")
-    report = detect_and_unfold(maps, setup, spacing_tolerance_hz=config.spacing_tolerance_hz)
+    report, written = _simulate_and_detect(
+        setup,
+        config.target,
+        seed=config.seed,
+        noise_sigma=config.noise_sigma,
+        spacing_tolerance_hz=config.spacing_tolerance_hz,
+        export=export if config.export_map_files else None,
+    )
+    exports.extend(written)
     if not report.detected:
         failures.append("simulate: fused detection did not succeed")
     rows = []

@@ -327,6 +327,24 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
+def _correlations(rx, replica):
+    """matched_filter's correlation of a stack of windows, one window at a time.
+
+    `rx` is (windows, W). Each step yields one window's correlation with
+    every replica, replica.shape[:-1] + (W - L + 1,), as a view into one
+    inverse-FFT buffer that the next step overwrites.
+    """
+    out_len = rx.shape[-1] - replica.shape[-1] + 1
+    nfft = _next_fast_len(rx.shape[-1])
+    replica_spectra = np.conj(np.fft.fft(replica, n=nfft))
+    product = np.empty_like(replica_spectra)
+    # one window at a time: the full (window, replica, n) product would hold
+    # several times the output in memory at once
+    for spectrum in np.fft.fft(rx, n=nfft):
+        np.multiply(spectrum, replica_spectra, out=product)
+        yield np.fft.ifft(product, out=product)[..., :out_len]
+
+
 def matched_filter(rx, replica) -> np.ndarray:
     """Full-overlap cross-correlation y[k] = sum_n rx[k+n] conj(replica[n]).
 
@@ -348,13 +366,8 @@ def matched_filter(rx, replica) -> np.ndarray:
     out_len = rx_arr.shape[-1] - rep_arr.shape[-1] + 1
     if out_len < 1:
         raise ValueError("replica must not be longer than rx")
-    nfft = _next_fast_len(rx_arr.shape[-1])
-    replica_spectra = np.conj(np.fft.fft(rep_arr, n=nfft))
     windows = np.atleast_2d(rx_arr)
     out = np.empty((len(windows),) + rep_arr.shape[:-1] + (out_len,), dtype=np.complex128)
-    # one window at a time: the full (window, replica, n) product would hold
-    # several times the output in memory at once
-    for row_out, spectrum in zip(out, np.fft.fft(windows, n=nfft)):
-        product = spectrum * replica_spectra
-        row_out[:] = np.fft.ifft(product, out=product)[..., :out_len]
+    for row_out, block in zip(out, _correlations(windows, rep_arr)):
+        row_out[:] = block
     return out if rx_arr.ndim == 2 else out[0]

@@ -10,8 +10,13 @@ congruence-based velocity unfolding in ccrt.
 
 Compression and both DFTs are linear, so doppler_maps takes the DFTs first:
 the pulse DFT on the raw receive windows, and the segment DFT folded into N
-phase-stepped copies of the replica, a subpulse-Doppler filter bank. One
-matched_filter call per channel against that bank gives the maps.
+phase-stepped copies of the replica, a subpulse-Doppler filter bank. The
+maps arrive as magnitudes window by window: each pulse-Doppler row is
+correlated against the bank and reduced to |.| at once, so the complex
+(pulse, segment, range) cube is never held. run_pipeline, and the CLI's
+simulate through the same private helper, carries each channel on its own
+thread from echo to maps (to exported files, for the CLI) to peaks; only
+the peaks come back to be fused, so no channel's maps outlive its thread.
 
 Intra-pulse Doppler is modelled as a phase that advances once per subpulse
 interval; that is what degrades the full-replica compression of fast targets
@@ -25,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from .ccrt import (
     unfold_tolerant,
     velocity_to_doppler,
 )
-from .numerics import RngStream, _integral, _thread_map, matched_filter
+from .numerics import RngStream, _correlations, _integral, _thread_map, matched_filter
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -328,9 +333,10 @@ def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> Dopple
     folds into the replica: row l of the filter bank concatenates segment s
     times exp(+2 pi i ((l s) mod N) / N) over s, and correlating with it
     (which conjugates the bank) sums the segment outputs with the DFT
-    weights exp(-2 pi i l s / N). One matched_filter call against the N
-    rows then costs what the per-segment compression costs, and no
-    per-range transform is left.
+    weights exp(-2 pi i l s / N). Correlating against the N rows, as
+    matched_filter does, then costs what the per-segment compression costs,
+    and no per-range transform is left. Each pulse-Doppler row is reduced to
+    magnitudes as soon as it is correlated.
     """
     segments = [np.asarray(seg) for seg in subpulse_replicas]
     if not segments or min(seg.size for seg in segments) == 0:
@@ -347,7 +353,13 @@ def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> Dopple
     # (l s) mod N first keeps every phase as accurate as the N-th roots of unity
     phases = np.exp(2j * math.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
     bank = np.concatenate(segments) * np.repeat(phases, [seg.size for seg in segments], axis=1)
-    sp = np.abs(matched_filter(np.fft.fft(rx, axis=0), bank))
+    if bank.shape[1] > rx.shape[1]:
+        raise ValueError("replica must not be longer than rx")
+    sp = np.empty((rx.shape[0], n, rx.shape[1] - bank.shape[1] + 1))
+    # each pulse-Doppler row's magnitudes straight from the inverse-FFT buffer,
+    # so the complex (pulse, segment, range) cube is never held
+    for row, block in zip(sp, _correlations(np.fft.fft(rx, axis=0), bank)):
+        np.abs(block, out=row)
     return DopplerMap(channel=channel, pp=sp[:, 0, :], sp=sp)
 
 
@@ -357,6 +369,69 @@ def _coarse_bin_to_hz(l_bin: int, num_subpulses: int, pulse_width_s: float) -> f
     if l_bin > num_subpulses / 2:
         l_bin -= num_subpulses
     return l_bin / pulse_width_s
+
+
+def _check_channel_set(channels: Sequence[PrfChannel], spacing_tolerance_hz: float) -> None:
+    if not channels:
+        raise ValueError("at least one channel map is required")
+    _check_spacings(channels, spacing_tolerance_hz)
+    subpulse_counts = {ch.num_subpulses for ch in channels}
+    if len(subpulse_counts) != 1:
+        raise ValueError(f"channels disagree on subpulse count: {sorted(subpulse_counts)}")
+
+
+def _pick_peaks(dmap: DopplerMap) -> ChannelDetection:
+    """One channel's pulse-map peak, its ratio to the map median, and the
+    segment-map peak's subpulse-Doppler bin (the channel's coarse vote)."""
+    pp = dmap.pp
+    k_bin, r_bin = np.unravel_index(int(np.argmax(pp)), pp.shape)
+    median = float(np.median(pp))
+    peak = float(pp[k_bin, r_bin])
+    # a median under one ulp of the peak is round-off of the FFT
+    # correlation over an empty (noiseless) map, not a noise floor
+    ratio = peak / median if median > peak * np.finfo(float).eps else math.inf
+    _, l_bin, _ = np.unravel_index(int(np.argmax(dmap.sp)), dmap.sp.shape)
+    return ChannelDetection(
+        apparent_bin=int(k_bin),
+        coarse_bin=int(l_bin),
+        peak_range_bin=int(r_bin),
+        peak_ratio=ratio,
+        detected=ratio >= DETECTION_THRESHOLD,
+    )
+
+
+def _fuse(
+    detections: Sequence[ChannelDetection],
+    channels: Sequence[PrfChannel],
+    setup: RadarSetup,
+    spacing_tolerance_hz: float,
+) -> DetectionReport:
+    """Unfold the channels' peaks into one velocity, for a checked channel set."""
+    detections = tuple(detections)
+    if not all(d.detected for d in detections):
+        return DetectionReport(channels=detections, fused=None, velocity_mps=math.nan, detected=False)
+    num_subpulses = channels[0].num_subpulses
+    fmax = num_subpulses / (2.0 * setup.pulse_width_s)
+    coarse = float(np.median([
+        _coarse_bin_to_hz(d.coarse_bin, num_subpulses, setup.pulse_width_s) for d in detections
+    ]))
+    unfolder = unfold_tolerant if spacing_tolerance_hz > 0 else unfold
+    try:
+        fused = unfolder(
+            residues=[d.apparent_bin for d in detections],
+            channels=channels,
+            coarse_hz=coarse,
+            fmax_hz=fmax,
+            wavelength_m=setup.wavelength_m,
+        )
+    except OutOfWindowError:
+        return DetectionReport(channels=detections, fused=None, velocity_mps=math.nan, detected=False)
+    return DetectionReport(
+        channels=detections,
+        fused=fused,
+        velocity_mps=fused.velocity_mps,
+        detected=True,
+    )
 
 
 def detect_and_unfold(
@@ -380,59 +455,9 @@ def detect_and_unfold(
     tolerance, when the tolerance is negative or not finite, or when the
     channels disagree on the subpulse count.
     """
-    if not maps:
-        raise ValueError("at least one channel map is required")
     channels = [m.channel for m in maps]
-    _check_spacings(channels, spacing_tolerance_hz)
-    subpulse_counts = {ch.num_subpulses for ch in channels}
-    if len(subpulse_counts) != 1:
-        raise ValueError(f"channels disagree on subpulse count: {sorted(subpulse_counts)}")
-    detections = []
-    coarse_votes = []
-    for dmap in maps:
-        pp = dmap.pp
-        k_bin, r_bin = np.unravel_index(int(np.argmax(pp)), pp.shape)
-        median = float(np.median(pp))
-        peak = float(pp[k_bin, r_bin])
-        # a median under one ulp of the peak is round-off of the FFT
-        # correlation over an empty (noiseless) map, not a noise floor
-        ratio = peak / median if median > peak * np.finfo(float).eps else math.inf
-        k_sp, l_bin, _ = np.unravel_index(int(np.argmax(dmap.sp)), dmap.sp.shape)
-        del k_sp
-        coarse_votes.append(
-            _coarse_bin_to_hz(int(l_bin), dmap.channel.num_subpulses, setup.pulse_width_s)
-        )
-        detections.append(
-            ChannelDetection(
-                apparent_bin=int(k_bin),
-                coarse_bin=int(l_bin),
-                peak_range_bin=int(r_bin),
-                peak_ratio=ratio,
-                detected=ratio >= DETECTION_THRESHOLD,
-            )
-        )
-    detections = tuple(detections)
-    if not all(d.detected for d in detections):
-        return DetectionReport(channels=detections, fused=None, velocity_mps=math.nan, detected=False)
-    fmax = subpulse_counts.pop() / (2.0 * setup.pulse_width_s)
-    coarse = float(np.median(coarse_votes))
-    unfolder = unfold_tolerant if spacing_tolerance_hz > 0 else unfold
-    try:
-        fused = unfolder(
-            residues=[d.apparent_bin for d in detections],
-            channels=channels,
-            coarse_hz=coarse,
-            fmax_hz=fmax,
-            wavelength_m=setup.wavelength_m,
-        )
-    except OutOfWindowError:
-        return DetectionReport(channels=detections, fused=None, velocity_mps=math.nan, detected=False)
-    return DetectionReport(
-        channels=detections,
-        fused=fused,
-        velocity_mps=fused.velocity_mps,
-        detected=True,
-    )
+    _check_channel_set(channels, spacing_tolerance_hz)
+    return _fuse([_pick_peaks(m) for m in maps], channels, setup, spacing_tolerance_hz)
 
 
 def simulate_channel(
@@ -448,6 +473,38 @@ def simulate_channel(
     return doppler_maps(rx, segments, channel)
 
 
+def _simulate_and_detect(
+    setup: RadarSetup,
+    truth: TargetTruth,
+    seed: int | None,
+    noise_sigma: float,
+    spacing_tolerance_hz: float,
+    export: Callable[[int, DopplerMap], list] = None,
+) -> tuple[DetectionReport, list]:
+    """run_pipeline's report, and the lists `export(index, maps)` returned,
+    joined in channel order ([] without `export`).
+
+    The channel set is checked first. Each channel's thread then carries it
+    from echo to maps, hands the maps to `export`, and keeps only its
+    peaks, so no channel's maps outlive its thread.
+    """
+    _check_channel_set(setup.channels, spacing_tolerance_hz)
+
+    def channel_peaks(index: int) -> tuple[ChannelDetection, list]:
+        rng = RngStream(seed, stream_id=index) if seed is not None else None
+        dmap = simulate_channel(
+            setup, setup.channels[index], truth, rng=rng, noise_sigma=noise_sigma
+        )
+        exported = export(index, dmap) if export is not None else []
+        return _pick_peaks(dmap), exported
+
+    results = _thread_map(channel_peaks, len(setup.channels))
+    report = _fuse(
+        [detection for detection, _ in results], setup.channels, setup, spacing_tolerance_hz
+    )
+    return report, [item for _, exported in results for item in exported]
+
+
 def run_pipeline(
     setup: RadarSetup,
     truth: TargetTruth,
@@ -459,16 +516,9 @@ def run_pipeline(
 
     Channel i draws from RngStream(seed, stream_id=i), so the channels run
     side by side on threads and the report does not depend on the schedule.
+    Each thread picks its own channel's peaks, and only the peaks are kept.
     """
-
-    def channel_maps(index: int) -> DopplerMap:
-        rng = RngStream(seed, stream_id=index) if seed is not None else None
-        return simulate_channel(
-            setup, setup.channels[index], truth, rng=rng, noise_sigma=noise_sigma
-        )
-
-    maps = _thread_map(channel_maps, len(setup.channels))
-    return detect_and_unfold(maps, setup, spacing_tolerance_hz=spacing_tolerance_hz)
+    return _simulate_and_detect(setup, truth, seed, noise_sigma, spacing_tolerance_hz)[0]
 
 
 def _export_float32(path, array, axis_names, meta: dict = None) -> Path:

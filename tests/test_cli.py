@@ -474,6 +474,25 @@ class TestSimulateMode:
         assert main(["simulate", config]) == 0
         assert (tmp_path / "noisy.csv").read_bytes() == first
 
+    def test_outputs_and_exports_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        # the channels export their maps from their own threads
+        config = radar_config(tmp_path, "cpus.csv", seed=5, noise_sigma=0.3, export_maps=True)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+            assert main(["simulate", config]) == 0
+            manifest = json.loads((tmp_path / "cpus.csv.manifest.json").read_text())
+            names = [
+                str(tmp_path / f"cpus.ch{i}.{grid}.f32{ext}")
+                for i in range(4) for grid in ("pp", "sp") for ext in ("", ".json")
+            ]
+            assert manifest["exports"] == names
+            outputs.append([
+                (tmp_path / name).read_bytes()
+                for name in ("cpus.csv", "cpus.csv.manifest.json", *names)
+            ])
+        assert outputs[0] == outputs[1]
+
     def test_skewed_spacings_need_the_tolerance_flag(self, tmp_path, capsys):
         config = radar_config(tmp_path, "skew.csv", prf_hz=(1100, 1300, 1700.3, 1900))
         assert main(["simulate", config]) == 2
@@ -524,6 +543,22 @@ class TestConfigErrors:
         })
         assert main(["pd", config]) == 2
         assert "'snr_db'" in capsys.readouterr().err
+
+    def test_a_missing_field_in_a_section_is_named_by_its_path(self, tmp_path, capsys):
+        config = write_config(tmp_path, "nested.json", {
+            "channels": [{"pulses": 7}],
+            "snr_db": {"stop": 3},
+            "output_path": str(tmp_path / "x.csv"),
+        })
+        assert main(["pd", config]) == 2
+        assert capsys.readouterr().err == "config error: missing required field 'snr_db.start'\n"
+
+    def test_a_mistyped_field_in_a_section_is_named_by_its_path(self, tmp_path, capsys):
+        config = radar_config(tmp_path, "x.csv", target={"range_m": "x"})
+        assert main(["simulate", config]) == 2
+        assert capsys.readouterr().err == (
+            "config error: field 'target.range_m' must be float, got str\n"
+        )
 
     def test_fusion_total_must_cover_every_channel(self, tmp_path, capsys):
         config = write_config(tmp_path, "fr.json", {

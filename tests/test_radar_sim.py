@@ -6,11 +6,13 @@ The channel set mirrors the reference experiment: 6 GHz carrier, 25 us pulse,
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from subpulse import numerics, radar_sim
+from subpulse.numerics import matched_filter
 from subpulse import (
     OutOfWindowError,
     PrfChannel,
@@ -300,6 +302,36 @@ class TestMaps:
         map_energy = (dmap.sp ** 2).sum(axis=(0, 1)) / (pulses * parts)
         np.testing.assert_allclose(map_energy, cube_energy, rtol=1e-12)
 
+    def test_maps_keep_the_bits_of_the_full_correlation_cube(self, setup):
+        # the magnitudes of matched_filter's complex (pulse, segment, range)
+        # cube against the filter bank, the route the maps took before they
+        # were reduced window by window
+        channel = setup.channels[0]
+        segments = split_subpulses(make_lfm(setup), 8)
+        rx = synth_echo(setup, channel, TargetTruth(10e3, -900.0), rng=RngStream(4, 0), noise_sigma=0.3)
+        n = len(segments)
+        phases = np.exp(2j * math.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+        bank = np.concatenate(segments) * np.repeat(phases, [seg.size for seg in segments], axis=1)
+        cube = np.abs(matched_filter(np.fft.fft(rx, axis=0), bank))
+        dmap = doppler_maps(rx, segments, channel)
+        np.testing.assert_array_equal(dmap.sp, cube)
+        np.testing.assert_array_equal(dmap.pp, cube[:, 0, :])
+
+    def test_maps_are_made_without_the_complex_cube(self, setup):
+        # the complex cube alone is twice the magnitude maps
+        channel = setup.channels[0]
+        segments = split_subpulses(make_lfm(setup), 8)
+        rx = synth_echo(setup, channel, TargetTruth(10e3, -900.0), rng=RngStream(4, 0), noise_sigma=0.3)
+        doppler_maps(rx, segments, channel)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            dmap = doppler_maps(rx, segments, channel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert channel.num_pulses == 11
+        assert peak < 2.5 * dmap.sp.nbytes
+
     def test_windows_must_match_the_channel(self, setup):
         channel = setup.channels[0]
         segments = split_subpulses(make_lfm(setup), 8)
@@ -371,19 +403,20 @@ class TestDetection:
             simulate_channel(setup, ch, truth, rng=RngStream(7, i), noise_sigma=0.5)
             for i, ch in enumerate(setup.channels)
         ]
-        seen = []
+        seen = {}
 
-        def recording_detect(maps, *args, **kwargs):
-            seen.extend(maps)
-            return detect_and_unfold(maps, *args, **kwargs)
+        def recording_simulate(setup, channel, *args, **kwargs):
+            # each channel's thread makes its maps here and writes its own key
+            seen[channel] = simulate_channel(setup, channel, *args, **kwargs)
+            return seen[channel]
 
         monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(radar_sim, "detect_and_unfold", recording_detect)
+        monkeypatch.setattr(radar_sim, "simulate_channel", recording_simulate)
         report = run_pipeline(setup, truth, seed=7, noise_sigma=0.5)
         assert report == detect_and_unfold(serial, setup)
-        assert len(seen) == len(serial)
-        for got, want in zip(seen, serial):
-            assert got.channel == want.channel
+        assert set(seen) == set(setup.channels)
+        for want in serial:
+            got = seen[want.channel]
             np.testing.assert_array_equal(got.sp, want.sp)
             np.testing.assert_array_equal(got.pp, want.pp)
 
@@ -431,6 +464,21 @@ class TestDetection:
         )
         with pytest.raises(ValueError, match=match):
             run_pipeline(skewed, TargetTruth(10e3, -900.0), spacing_tolerance_hz=tolerance)
+
+    def test_the_channel_set_is_checked_before_any_channel_is_simulated(self, monkeypatch):
+        channels = [
+            PrfChannel(prf=100.0 * m, num_pulses=m, num_subpulses=n) for m, n in ((11, 8), (13, 4))
+        ]
+        mixed = RadarSetup.build(
+            carrier_hz=6e9, pulse_width_s=25e-6, bandwidth_hz=2e6, channels=channels
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a channel was simulated before the check")
+
+        monkeypatch.setattr(radar_sim, "simulate_channel", refuse)
+        with pytest.raises(ValueError, match=r"channels disagree on subpulse count: \[4, 8\]"):
+            run_pipeline(mixed, TargetTruth(10e3, -900.0))
 
     def test_mixed_subpulse_counts_are_refused_below_the_threshold_too(self, setup):
         # flat maps: peak over median is 1, so no channel reaches the threshold
