@@ -37,9 +37,11 @@ from .detection_stats import (
     pfa_oracle,
 )
 from .montecarlo import McConfig, estimate
+from .numerics import RngStream
 from .radar_sim import (
     RadarSetup,
     TargetTruth,
+    _check_channel_set,
     _simulate_and_detect,
     # simulate runs through _simulate_and_detect and calls neither of these
     # two here, but perfbench/tracing.py wraps them at these names
@@ -143,33 +145,46 @@ def _parse_json(path) -> dict:
         raise ConfigError(
             f"config parse error at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except ValueError as err:  # an integer literal beyond int's string-conversion limit
+        raise ConfigError(f"config parse error: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return data
 
 
-def _need(raw: dict, key: str, kind, *, default=None, required=False):
-    """Take `key` out of `raw`, a working copy; an object comes back as a copy.
+def _build(keys: Sequence[str], make, *args, **kwargs):
+    """`make(*args, **kwargs)`; its ValueError or OverflowError becomes the
+    ConfigError "field '<key>': <message>", where key is the first of `keys`
+    whose last dotted part starts the message (the parameter at fault), else `keys[0]`."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OverflowError) as err:
+        word = str(err).partition(" ")[0]
+        key = next((k for k in keys if k.rpartition(".")[2] == word), keys[0])
+        raise ConfigError(f"field '{key}': {err}") from err
 
-    A key inside a section is given by its dotted path, `snr_db.start`, and
-    its errors name that path.
-    """
+
+def _typed(value, key: str, kind):
+    """`value`, the JSON value at `key`, checked to be of `kind`: a bool is only a
+    bool, an int is a float too, a float must be finite, an object is copied."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = _build((key,), float, value)  # json reads integers beyond float64
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"field '{key}' must be {kind.__name__}, got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):  # json reads NaN and Infinity
+        raise ConfigError(f"field '{key}' must be a finite number, got {value}")
+    return dict(value) if kind is dict else value
+
+
+def _need(raw: dict, key: str, kind, *, default=None, required=False):
+    """Take `key` out of `raw`, a working copy, and check it with `_typed`; a key
+    inside a section is given by its dotted path, `snr_db.start`, which errors name."""
     name = key.rpartition(".")[2]
     if name not in raw:
         if required:
             raise ConfigError(f"missing required field '{key}'")
         return default
-    value = raw.pop(name)
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        # json accepts NaN and Infinity, which no field of this config allows
-        if not math.isfinite(value):
-            raise ConfigError(f"field '{key}' must be a finite number, got {value}")
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, kind):
-        raise ConfigError(f"field '{key}' must be {kind.__name__}, got {type(value).__name__}")
-    return dict(value) if kind is dict else value
+    return _typed(raw.pop(name), key, kind)
 
 
 # said with the refusal of a key that only some runs read, or that is gone
@@ -195,14 +210,14 @@ def _parse_channels(raw: dict, mode: str) -> tuple[tuple[int, int], ...]:
         raise ConfigError("field 'channels' must be a non-empty list")
     channels = []
     for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ConfigError(f"channels[{i}] must be an object with 'pulses' and 'subpulses'")
-        entry = dict(item)
-        counts = (entry.pop("pulses", None), entry.pop("subpulses", 1))
-        for key, v in zip(("pulses", "subpulses"), counts):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"channels[{i}].{key} must be a positive integer")
+        entry = _typed(item, f"channels[{i}]", dict)
+        counts = (_need(entry, f"channels[{i}].pulses", int, required=True),
+                  _need(entry, f"channels[{i}].subpulses", int, default=1))
         _refuse_unread(entry, f"channels[{i}].", mode)
+        # ccrt_check builds no library object that checks these counts
+        for key, count in zip(("pulses", "subpulses"), counts):
+            if count < 1:
+                raise ConfigError(f"field 'channels[{i}].{key}' must be >= 1, got {count}")
         channels.append(counts)
     try:
         _check_moduli(tuple(pulses for pulses, _ in channels))
@@ -229,30 +244,27 @@ def _parse_radar(
             f"radar.prf_hz has {len(prfs)} entries but 'channels' has {len(channels)}"
         )
     prf_channels = []
-    for i, prf in enumerate(prfs):
-        if not isinstance(prf, (int, float)) or isinstance(prf, bool) or not 0 < prf < math.inf:
-            raise ConfigError(f"radar.prf_hz[{i}] must be a positive finite number")
-        pulses, subpulses = channels[i]
-        prf_channels.append(PrfChannel(prf=float(prf), num_pulses=pulses, num_subpulses=subpulses))
+    for i, (prf, (pulses, subpulses)) in enumerate(zip(prfs, channels)):
+        key = f"radar.prf_hz[{i}]"
+        prf_channels.append(_build((key,), PrfChannel, _typed(prf, key, float), pulses, subpulses))
     try:
         _check_spacings(prf_channels, spacing_tolerance_hz)
+    except OverflowError as err:  # prf / pulses with a pulse count beyond float64
+        raise ConfigError(f"field 'channels[].pulses': {err}") from err
     except ValueError as err:
-        if spacing_tolerance_hz > 0:
-            raise ConfigError(f"radar.prf_hz: {err}") from err
-        raise ConfigError(
-            f"radar.prf_hz: {err} (set 'spacing_tolerance_hz' or pass "
-            "--tolerance-hz to use coincidence-mode unfolding)"
-        ) from err
-    try:
-        return RadarSetup.build(
-            carrier_hz=carrier,
-            pulse_width_s=width,
-            bandwidth_hz=bandwidth,
-            channels=tuple(prf_channels),
-            sample_rate_hz=fs,
+        if str(err).startswith("spacing_tolerance_hz"):
+            raise ConfigError(f"field 'spacing_tolerance_hz': {err}") from err
+        hint = "" if spacing_tolerance_hz else (
+            " (set 'spacing_tolerance_hz' or pass --tolerance-hz to use "
+            "coincidence-mode unfolding)"
         )
-    except ValueError as err:
-        raise ConfigError(f"radar: {err}") from err
+        raise ConfigError(f"radar.prf_hz: {err}{hint}") from err
+    # the spacings pass, so only the one-subpulse-count rule is left to fail
+    _build(("channels[].subpulses",), _check_channel_set, prf_channels, spacing_tolerance_hz)
+    # a sample rate derived from the bandwidth is no key of the config
+    keys = ("radar", "radar.carrier_hz", "radar.pulse_width_s", "radar.bandwidth_hz",
+            *(("radar.sample_rate_hz",) if fs is not None else ()))
+    return _build(keys, RadarSetup.build, carrier, width, bandwidth, prf_channels, fs)
 
 
 def _draws_mc(mode: str, raw: dict) -> bool:
@@ -276,15 +288,15 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
     parsed = {}
 
     if effective in _SWEEP_MODES:
-        for name in ("lambda1", "lambda2"):
-            lam = parsed[name] = _need(left, name, float, default=_DEFAULTS[name])
-            if not 0.0 < lam < 1.0:
-                raise ConfigError(f"field '{name}' must lie strictly between 0 and 1, got {lam}")
-        snr_scale = parsed["snr_scale"] = _need(
-            left, "snr_scale", float, default=_DEFAULTS["snr_scale"]
-        )
-        if snr_scale <= 0:
-            raise ConfigError(f"field 'snr_scale' must be positive, got {snr_scale}")
+        for name in ("lambda1", "lambda2", "snr_scale"):
+            parsed[name] = _need(left, name, float, default=_DEFAULTS[name])
+        # from_snr and ChannelStats hold the ranges; a silent target, so that a
+        # loud SNR still fails when the run asks for its point
+        stats = [
+            _build((f"channels[{i}]", "lambda1", "lambda2", "snr_scale"), from_snr, -math.inf,
+                   parsed["lambda1"], parsed["lambda2"], *counts, snr_scale=parsed["snr_scale"])
+            for i, counts in enumerate(channels)
+        ]
         grid = _need(left, "snr_db", dict, required=True)
         start = _need(grid, "snr_db.start", float, required=True)
         stop = _need(grid, "snr_db.stop", float, required=True)
@@ -301,55 +313,39 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         section = _need(left, "fusion", dict, default={})
         required = _need(section, "fusion.required", int, default=len(channels))
         _refuse_unread(section, "fusion.", effective)
-        try:
-            parsed["fusion"] = FusionRule(required=required, total=len(channels))
-        except ValueError as err:
-            raise ConfigError(f"fusion: {err}") from err
+        parsed["fusion"] = _build(("fusion.required",), FusionRule, required, len(channels))
 
     if effective in _MC_MODES:
         section = _need(left, "mc", dict, default={})
         for key, name in (("trials", "mc_trials"), ("batch_size", "mc_batch")):
-            value = parsed[name] = _need(section, f"mc.{key}", int, default=_DEFAULTS[name])
-            if value < 1:
-                raise ConfigError(f"mc.{key} must be >= 1, got {value}")
+            parsed[name] = _need(section, f"mc.{key}", int, default=_DEFAULTS[name])
         _refuse_unread(section, "mc.", effective)
 
     if _draws_mc(effective, raw) or effective == "simulate":
         seed = parsed["seed"] = _need(left, "seed", int)
-        if seed is not None and seed < 0:
-            raise ConfigError(f"field 'seed' must be >= 0, got {seed}")
         if seed is None and effective != "simulate":
             raise ConfigError(
                 "an explicit seed is required when Monte Carlo runs "
                 "(set 'seed' in the config, or pass --seed)"
             )
+        if effective != "simulate":  # McConfig checks seed and counts, with any channel's stats
+            _build(("seed", "mc.trials", "mc.batch_size"), McConfig,
+                   stats[0], seed, parsed["mc_trials"], parsed["mc_batch"])
+        elif seed is not None:
+            _build(("seed",), RngStream, seed)
 
     if effective == "simulate":
         spacing_tolerance = _need(
             left, "spacing_tolerance_hz", float, default=_DEFAULTS["spacing_tolerance_hz"]
         )
-        if spacing_tolerance < 0:
-            raise ConfigError(
-                f"field 'spacing_tolerance_hz' must be >= 0, got {spacing_tolerance}"
-            )
-        subpulse_counts = sorted({subpulses for _, subpulses in channels})
-        if len(subpulse_counts) > 1:
-            raise ConfigError(
-                f"channels disagree on subpulse count: {subpulse_counts}; "
-                "simulate needs one subpulse count for every channel"
-            )
         radar = _parse_radar(left, channels, spacing_tolerance)
         section = _need(left, "target", dict, default={})
         range_m = _need(section, "target.range_m", float, default=10_000.0)
         velocity = _need(section, "target.velocity_mps", float, default=-900.0)
         amplitude = _need(section, "target.amplitude", float, default=TargetTruth.amplitude)
         _refuse_unread(section, "target.", effective)
-        try:
-            target = TargetTruth(
-                range_m=range_m, radial_velocity_mps=velocity, amplitude=amplitude
-            )
-        except ValueError as err:
-            raise ConfigError(f"target: {err}") from err
+        keys = ("target", "target.range_m", "target.amplitude")
+        target = _build(keys, TargetTruth, range_m, velocity, amplitude)
         noise_sigma = _need(left, "noise_sigma", float, default=_DEFAULTS["noise_sigma"])
         if noise_sigma < 0:
             raise ConfigError(f"field 'noise_sigma' must be >= 0, got {noise_sigma}")
@@ -371,12 +367,12 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
 
 
 def load_config(path, *, mode: Optional[str] = None) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config.
-
-    Cross-field rules (pairwise-coprime pulse counts, one shared bin spacing,
-    sample rate covering the sweep bandwidth, non-empty SNR grid) are all
-    enforced here so every later stage can assume a coherent setup. A key
-    the mode does not read is refused by its dotted path.
+    """Parse and validate a JSON experiment config, so that later stages can
+    assume a coherent setup. The loader checks JSON types, finiteness, the SNR
+    grid's shape, the channel counts, the prf count, the Monte Carlo seed's
+    presence, `noise_sigma`, `output_path` and the keys a mode reads; value
+    ranges come from the library objects the run uses, built here, and their
+    refusals read "field '<dotted path>': <message>".
     """
     return _config_from_dict(_parse_json(path), mode=mode)
 

@@ -4,8 +4,11 @@ import copy
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from subpulse import FusionRule, combine_m_of_l, from_snr, main, pd_closed_form, pfa_closed_form
 from subpulse import cli_io, numerics
@@ -633,6 +636,96 @@ class TestConfigErrors:
         assert err.startswith("config error:") and "subpulse count: [4, 8]" in err
         assert not (tmp_path / "mixed.csv").exists()
 
+    @pytest.mark.parametrize("command, make, overrides, named", [
+        *[("pd", sweep_config, {key: value}, key)
+          for key in ("lambda1", "lambda2") for value in (0, 1)],
+        *[("pd", sweep_config, {"snr_scale": value}, "snr_scale") for value in (0, -1)],
+        ("pd", sweep_config, {"snr_db": {"start": 9.0, "stop": 10.0, "step": 0}}, "snr_db.step"),
+        ("pd", sweep_config, {"snr_db": {"start": 10.0, "stop": 9.0}}, "snr_db"),
+        ("mc", sweep_config, {"seed": 1, "mc": {"trials": 0}}, "mc.trials"),
+        ("mc", sweep_config, {"seed": 1, "mc": {"batch_size": 0}}, "mc.batch_size"),
+        ("mc", sweep_config, {"seed": -1}, "'seed'"),
+        ("simulate", radar_config, {"seed": -1}, "'seed'"),
+        *[(command, make, {"channels": [{"pulses": 7, "subpulses": 8, key: value},
+                                        {"pulses": 11, "subpulses": 8}]}, f"channels[0].{key}")
+          for command, make in (("pd", sweep_config), ("ccrt-check", sweep_config))
+          for key in ("pulses", "subpulses") for value in (0, True, 7.0)],
+        ("fused", sweep_config, {"fusion": {"required": 0}}, "fusion"),
+        ("fused", sweep_config, {"output_path": ""}, "output_path"),
+        ("simulate", radar_config, {"spacing_tolerance_hz": -1}, "spacing_tolerance_hz"),
+        ("simulate", radar_config, {"noise_sigma": -0.1}, "noise_sigma"),
+        ("simulate", radar_config, {"prf_hz": (1100, 1300), "channels": [
+            {"pulses": 11, "subpulses": 8}, {"pulses": 13, "subpulses": 4}]}, "subpulse count"),
+        ("simulate", radar_config, {"prf_hz": (0, 1300, 1700, 1900)}, "radar.prf_hz[0]"),
+        ("simulate", radar_config, {"prf_hz": (True, 1300, 1700, 1900)}, "radar.prf_hz[0]"),
+        ("simulate", radar_config, {"prf_hz": (1100, 1300, 1700)}, "radar.prf_hz"),
+    ])
+    def test_each_load_time_refusal_names_its_key(
+        self, tmp_path, capsys, command, make, overrides, named
+    ):
+        config = make(tmp_path, "refused.csv", **overrides)
+        assert main([command, config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err, err
+        assert not (tmp_path / "refused.csv").exists()
+        assert not (tmp_path / "refused.csv.manifest.json").exists()
+
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        config = tmp_path / "digits.json"
+        config.write_text('{"channels": [{"pulses": ' + "7" * 5000 + "}]}")
+        assert main(["ccrt-check", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config parse error:") and "4300 digits" in err
+
+    _HUGE = "int too large to convert to float"
+
+    @pytest.mark.parametrize("command, make, overrides, message", [
+        ("pd", sweep_config, {"lambda2": 1},
+         "field 'lambda2': lambda2 must lie strictly inside (0, 1), got 1.0"),
+        ("pd", sweep_config, {"snr_scale": -1},
+         "field 'snr_scale': snr_scale must be finite and positive, got -1.0"),
+        ("mc", sweep_config, {"seed": 1, "mc": {"batch_size": 0}},
+         "field 'mc.batch_size': batch_size must be >= 1, got 0"),
+        ("mc", sweep_config, {"seed": -1}, "field 'seed': seed must be non-negative, got -1"),
+        ("simulate", radar_config, {"seed": -1},
+         "field 'seed': seed must be non-negative, got -1"),
+        ("simulate", radar_config, {"spacing_tolerance_hz": -1},
+         "field 'spacing_tolerance_hz': spacing_tolerance_hz must be finite and non-negative, "
+         "got -1.0"),
+        ("simulate", radar_config, {"prf_hz": (0, 1300, 1700, 1900)},
+         "field 'radar.prf_hz[0]': prf must be finite and positive, got 0.0"),
+        ("simulate", radar_config, {"prf_hz": (1100, 1300), "channels": [
+            {"pulses": 11, "subpulses": 8}, {"pulses": 13, "subpulses": 4}]},
+         "field 'channels[].subpulses': channels disagree on subpulse count: [4, 8]"),
+        ("fused", sweep_config, {"fusion": {"required": 3}},
+         "field 'fusion.required': required must lie in 1..total, got required=3 total=2"),
+        # a bool is no integer
+        ("mc", sweep_config, {"seed": True}, "field 'seed' must be int, got bool"),
+        ("mc", sweep_config, {"seed": 1, "mc": {"trials": True}},
+         "field 'mc.trials' must be int, got bool"),
+        ("fused", sweep_config, {"fusion": {"required": True}},
+         "field 'fusion.required' must be int, got bool"),
+        # an integer beyond float64 is refused by the path that holds it
+        ("pd", sweep_config, {"lambda1": 10 ** 400}, f"field 'lambda1': {_HUGE}"),
+        ("pd", sweep_config, {"snr_db": {"start": 9.0, "stop": 10.0, "step": 10 ** 400}},
+         f"field 'snr_db.step': {_HUGE}"),
+        ("simulate", radar_config, {"noise_sigma": 10 ** 400}, f"field 'noise_sigma': {_HUGE}"),
+        ("simulate", radar_config, {"target": {"range_m": 1e4, "velocity_mps": -10 ** 400}},
+         f"field 'target.velocity_mps': {_HUGE}"),
+        ("simulate", radar_config, {"prf_hz": (10 ** 400, 1300, 1700, 1900)},
+         f"field 'radar.prf_hz[0]': {_HUGE}"),
+        ("pd", sweep_config, {"channels": [{"pulses": 10 ** 400}]}, f"field 'channels[0]': {_HUGE}"),
+        ("simulate", radar_config, {"channels": [{"pulses": p, "subpulses": 8} for p in (
+            10 ** 400, 13, 17, 19)]}, f"field 'channels[].pulses': {_HUGE}"),
+    ])
+    def test_a_refusal_names_the_dotted_key(
+        self, tmp_path, capsys, command, make, overrides, message
+    ):
+        config = make(tmp_path, "lib.csv", **overrides)
+        assert main([command, config]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "lib.csv.manifest.json").exists()
+
     @pytest.mark.parametrize("command, make, overrides, flags, field", [
         ("pd", sweep_config, {}, ["--seed", "9"], "'seed'"),
         ("pfa", sweep_config, {"seed": 9}, [], "'seed'"),
@@ -746,3 +839,60 @@ class TestKeyContract:
                 if prefix + name == "seed":
                     assert "mc, simulate, and pd/pfa with an 'mc' section" in err
         assert not list(tmp_path.glob("keys.csv*"))
+
+
+# One JSON value of each kind the loader can meet: a huge or negative int, any
+# float (NaN and Infinity included, since json reads them), a str, a bool,
+# null, a list or an object.
+_JSON_VALUES = st.one_of(
+    st.integers(min_value=10 ** 300, max_value=10 ** 500),
+    st.integers(min_value=-(10 ** 500), max_value=-1),
+    st.floats(),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+def _set_path(config, path, value):
+    """Set the key at dotted `path`; `name[]` steps into the list's first entry."""
+    *parents, leaf = path.split(".")
+    for part in parents:
+        config = config[part[:-2]][0] if part.endswith("[]") else config[part]
+    if leaf.endswith("[]"):
+        config[leaf[:-2]][0] = value
+    else:
+        config[leaf] = value
+
+
+def _asks_for_a_huge_snr_grid(path, value):
+    # The loader puts no bound on the SNR grid's size (ROADMAP item 10 is to
+    # set one), so a start or stop far from the other asks for that many points.
+    if path not in ("snr_db.start", "snr_db.stop") or not isinstance(value, (int, float)):
+        return False
+    try:
+        return 1e4 < abs(float(value)) < math.inf
+    except OverflowError:  # beyond float64: refused by path before any grid is built
+        return False
+
+
+class TestLoadFuzz:
+    @pytest.mark.parametrize("command", list(KEYS_READ))
+    def test_one_drawn_value_loads_or_is_a_config_error(self, command):
+        full = full_config(Path("fuzz"), command)
+        paths = sorted(key_paths(full) | ({"radar.prf_hz[]"} if "radar" in full else set()))
+
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        @given(path=st.sampled_from(paths), value=_JSON_VALUES)
+        def load(path, value):
+            assume(not _asks_for_a_huge_snr_grid(path, value))
+            raw = copy.deepcopy(full)
+            _set_path(raw, path, value)
+            try:
+                cli_io._config_from_dict(raw, mode=cli_io._SUBCOMMANDS[command])
+            except cli_io.ConfigError:
+                pass
+
+        load()
