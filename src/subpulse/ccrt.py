@@ -186,43 +186,55 @@ def _check_spacings(channels: Sequence[PrfChannel], spacing_tolerance_hz: float)
         )
 
 
-def _nearest_lattice(
-    b: int,
+def _search(
+    residues: Sequence[int],
+    channels: Sequence[PrfChannel],
     spacing: float,
-    theta: int,
+    shifts: bool,
     coarse_hz: float,
     fmax_hz: float | None,
     wavelength_m: float | None,
 ) -> UnfoldResult:
-    """The lattice frequency (b + q*Theta) * spacing nearest the coarse estimate.
+    """The best lattice frequency (b + q*Theta) * spacing with |f| <= fmax_hz.
 
-    q ranges over the integers with |frequency| <= fmax_hz (default half the
-    span Theta*spacing). Among equally near candidates the higher frequency
-    wins, and the result is then not sign-resolved.
+    Bins b solve the measured residues and, with `shifts`, every set with
+    residues moved by +-1 (3^L rows, one solve). Candidates rank by shifted
+    residues, then distance to the coarse estimate, then higher frequency;
+    a coarse estimate at exactly +-fmax_hz (the segment axis's Nyquist bin,
+    whose sign is unknown) is scored against both edges. fmax_hz defaults to
+    half the span Theta*spacing; a tie in the first two keys is not
+    sign-resolved.
     """
-    span = theta * spacing
+    if len(residues) != len(channels):
+        raise ValueError("one residue per channel required")
+    moduli = tuple(ch.num_pulses for ch in channels)
+    _check_moduli(moduli)  # before the residues, in ccrt_solve's order
+    measured = np.array([_integral(r, "residue") for r in residues])
+    # checked before a shift wraps every residue into range
+    if np.any(measured < 0) or np.any(measured >= np.array(moduli)):
+        raise ValueError(f"residues out of range for moduli {moduli}")
+    deltas = np.array(list(itertools.product((0, -1, 1) if shifts else (0,), repeat=len(moduli))))
+    bins = ccrt_solve(moduli, (measured + deltas) % np.array(moduli)).tolist()
+    span = math.prod(moduli) * spacing
     fmax = span / 2.0 if fmax_hz is None else float(fmax_hz)
     if not math.isfinite(fmax):
         raise ValueError(f"fmax_hz must be finite, got {fmax_hz!r}")
-    base = b * spacing
-    q_lo = math.ceil((-fmax - base) / span)
-    q_hi = math.floor((fmax - base) / span)
-    candidates = [base + q * span for q in range(q_lo, q_hi + 1)]
+    edges = (fmax, -fmax) if abs(coarse_hz) == fmax else (coarse_hz,)
+    candidates = []  # (shifted residues, coarse distance, frequency, bin)
+    for shifted, b in zip(np.count_nonzero(deltas, axis=1).tolist(), bins):
+        base = b * spacing
+        for q in range(math.ceil((-fmax - base) / span), math.floor((fmax - base) / span) + 1):
+            f = base + q * span
+            candidates.append((shifted, min(abs(f - e) for e in edges), f, b))
     if not candidates:
-        raise OutOfWindowError(
-            f"no unfolded frequency for bin {b} within +-{fmax} Hz"
-        )
-    best = min(candidates, key=lambda f: (abs(f - coarse_hz), -f))
-    ties = [f for f in candidates if abs(abs(f - coarse_hz) - abs(best - coarse_hz)) <= 1e-9 * max(1.0, abs(best))]
-    sign_resolved = len(ties) == 1
+        where = f"bin {bins[0]}" if len(bins) == 1 else "any residue shift"
+        raise OutOfWindowError(f"no unfolded frequency for {where} within +-{fmax} Hz")
+    shifted, distance, best, b = min(candidates, key=lambda c: (c[0], c[1], -c[2]))
+    near = 1e-9 * max(1.0, abs(best))
+    ties = sum(c[0] == shifted and abs(c[1] - distance) <= near for c in candidates)
     velocity = doppler_to_velocity(best, wavelength_m) if wavelength_m else math.nan
-    return UnfoldResult(
-        bin=b,
-        doppler_hz=best,
-        velocity_mps=velocity,
-        sign_resolved=sign_resolved,
-        coarse_hz=float(coarse_hz),
-    )
+    return UnfoldResult(bin=b, doppler_hz=best, velocity_mps=velocity,
+                        sign_resolved=ties == 1, coarse_hz=float(coarse_hz))
 
 
 def unfold(
@@ -238,14 +250,12 @@ def unfold(
     the lattice frequency (b + q*Theta) * spacing (integer q, magnitude
     bounded by fmax_hz) closest to the coarse estimate. fmax_hz defaults to
     half the full unfolded span Theta*spacing/2. Velocity is reported when a
-    wavelength is supplied, else NaN.
+    wavelength is supplied, else NaN. No residue is shifted, so a residue
+    set with no lattice point in the window (noise, mostly) raises
+    OutOfWindowError.
     """
-    if len(residues) != len(channels):
-        raise ValueError("one residue per channel required")
     spacing = common_bin_spacing(channels)
-    moduli = tuple(ch.num_pulses for ch in channels)
-    b = ccrt_solve(moduli, residues)
-    return _nearest_lattice(b, spacing, math.prod(moduli), coarse_hz, fmax_hz, wavelength_m)
+    return _search(residues, channels, spacing, False, coarse_hz, fmax_hz, wavelength_m)
 
 
 def unfold_tolerant(
@@ -257,38 +267,19 @@ def unfold_tolerant(
 ) -> UnfoldResult:
     """Coincidence-mode unfold for imperfect residue measurements.
 
-    Channel spacings are averaged instead of required identical, and every
-    per-channel residue perturbation within +-1 bin is tried; the solution
-    whose unfolded frequency lands closest to the coarse estimate wins (the
-    first in (-1, 0, 1)-product order among equals). Use this only when the
-    configuration cannot guarantee one exact shared bin spacing; the exact
-    :func:`unfold` is the reference behavior.
+    Channel spacings are averaged instead of required identical, and any
+    residue may be off by one bin: the fewest shifted residues win, then the
+    lattice point nearest the coarse estimate, so the measured residues win
+    whenever they unfold in the window. Use this only when the configuration
+    cannot guarantee one exact shared bin spacing; the exact :func:`unfold`
+    is the reference behavior.
     """
-    if len(residues) != len(channels):
-        raise ValueError("one residue per channel required")
     if not channels:
         raise ValueError("channel list must be non-empty")
     mean_spacing = sum(ch.bin_spacing for ch in channels) / len(channels)
-    moduli = tuple(ch.num_pulses for ch in channels)
+    m0 = channels[0].num_pulses
     # mean_spacing as a channel of prf mean_spacing * M_0 reports it: the
     # round trip through the prf can move the last bit, and the unfolded
     # frequencies are built on the rounded value
-    spacing = PrfChannel(prf=mean_spacing * moduli[0], num_pulses=moduli[0]).bin_spacing
-    measured = np.array([_integral(r, "residue") for r in residues])
-    # checked before the perturbation wraps every residue into range
-    if np.any(measured < 0) or np.any(measured >= np.array(moduli)):
-        raise ValueError(f"residues out of range for moduli {moduli}")
-    deltas = np.array(list(itertools.product((-1, 0, 1), repeat=len(moduli))))
-    bins = ccrt_solve(moduli, (measured + deltas) % np.array(moduli))
-    theta = math.prod(moduli)
-    best: UnfoldResult | None = None
-    for b in bins.tolist():
-        try:
-            res = _nearest_lattice(b, spacing, theta, coarse_hz, fmax_hz, wavelength_m)
-        except OutOfWindowError:
-            continue
-        if best is None or abs(res.doppler_hz - coarse_hz) < abs(best.doppler_hz - coarse_hz):
-            best = res
-    if best is None:
-        raise OutOfWindowError("no residue perturbation yields an in-window frequency")
-    return best
+    spacing = PrfChannel(prf=mean_spacing * m0, num_pulses=m0).bin_spacing
+    return _search(residues, channels, spacing, True, coarse_hz, fmax_hz, wavelength_m)

@@ -365,7 +365,7 @@ def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> Dopple
 
 def _coarse_bin_to_hz(l_bin: int, num_subpulses: int, pulse_width_s: float) -> float:
     # segment-axis DFT bin spacing is 1/tau; bins above half map to negative
-    # frequencies (the Nyquist bin keeps the positive sign)
+    # frequencies. The Nyquist bin reads +fmax; the unfold scores it at both edges
     if l_bin > num_subpulses / 2:
         l_bin -= num_subpulses
     return l_bin / pulse_width_s
@@ -448,12 +448,12 @@ def detect_and_unfold(
     segment-axis window, yields a no-detection report.
 
     A positive spacing_tolerance_hz switches to coincidence-mode unfolding
-    (mean bin spacing, residues snapped within one bin) for channel sets
+    (mean bin spacing, fewest residues shifted by one bin) for channel sets
     whose spacings differ by at most that much; exact congruence unfolding
-    is the reference behavior and stays the default. A ValueError, whatever
-    the maps hold, when the channels' bin spacings do not meet the
-    tolerance, when the tolerance is negative or not finite, or when the
-    channels disagree on the subpulse count.
+    (no shift) is the reference behavior and stays the default. A
+    ValueError, whatever the maps hold, when the channels' bin spacings do
+    not meet the tolerance, when the tolerance is negative or not finite, or
+    when the channels disagree on the subpulse count.
     """
     channels = [m.channel for m in maps]
     _check_channel_set(channels, spacing_tolerance_hz)

@@ -265,6 +265,48 @@ class TestUnfoldTolerant:
         with pytest.raises(OutOfWindowError):
             unfold_tolerant([3, 10, 2, 17], reference_channels(), coarse_hz=0.0, fmax_hz=10.0)
 
+    def test_one_residue_off_by_a_bin_is_shifted_back_in_coincidence_mode_only(self):
+        # bin 36 with the first channel reading 4 instead of 3: exact mode
+        # shifts no residue, so the set is refused as noise would be
+        chans = reference_channels()
+        residues = [4, 10, 2, 17]
+        with pytest.raises(OutOfWindowError, match="for bin"):
+            unfold(residues, chans, coarse_hz=3600.0, fmax_hz=160e3)
+        res = unfold_tolerant(residues, chans, coarse_hz=3600.0, fmax_hz=160e3)
+        assert res.bin == 36 and res.doppler_hz == pytest.approx(3600.0)
+
+    def test_a_coarse_estimate_on_the_nyquist_edge_may_mean_either_sign(self):
+        # the segment axis reads its Nyquist bin as +fmax; the truth sits
+        # near -fmax, and a shifted residue set lands nearer +fmax
+        chans = [
+            PrfChannel(prf=prf, num_pulses=m, num_subpulses=8)
+            for prf, m in zip((1100.0, 1300.0, 1700.3, 1900.0), MODULI)
+        ]
+        truth_bin = -1509
+        residues = [(truth_bin % THETA) % m for m in MODULI]
+        res = unfold_tolerant(residues, chans, coarse_hz=160e3, fmax_hz=160e3, wavelength_m=0.05)
+        assert res.bin == truth_bin % THETA
+        assert abs(res.doppler_hz - truth_bin * 100.0) <= 150.0
+        assert res.sign_resolved
+
+    @given(
+        st.tuples(*(st.integers(min_value=0, max_value=m - 1) for m in MODULI)),
+        st.sampled_from([None, 160e3, 20e3]),
+        st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1.0, max_value=1.0)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_measured_residues_win_whenever_they_unfold(self, residues, fmax_hz, where):
+        # fewest shifts first: on equal spacings the unshifted residues,
+        # when they unfold at all, give unfold's own answer
+        chans = reference_channels()
+        coarse_hz = where * (THETA * 50.0 if fmax_hz is None else fmax_hz)
+        try:
+            strict = unfold(list(residues), chans, coarse_hz, fmax_hz=fmax_hz)
+        except OutOfWindowError:
+            return
+        loose = unfold_tolerant(list(residues), chans, coarse_hz, fmax_hz=fmax_hz)
+        assert (loose.bin, loose.doppler_hz) == (strict.bin, strict.doppler_hz)
+
 
 class TestChannelValidation:
     def test_bin_spacing_is_prf_over_pulses(self):

@@ -389,6 +389,25 @@ class TestDetection:
         assert report.fused is None
         assert math.isnan(report.velocity_mps)
 
+    def test_coincidence_mode_unfolds_a_target_on_the_nyquist_vote(self):
+        # below -3.4 km/s every channel's segment-axis peak is the Nyquist
+        # bin, read as +fmax; scored against +fmax alone the unfold lands
+        # 7.3 km/s away, on the other side of the window
+        channels = [
+            PrfChannel(prf=prf, num_pulses=m, num_subpulses=8)
+            for prf, m in zip((1100, 1300, 1700.3, 1900), MODULI)
+        ]
+        skewed = RadarSetup.build(
+            carrier_hz=6e9, pulse_width_s=25e-6, bandwidth_hz=2e6, channels=channels
+        )
+        truth = TargetTruth(range_m=6734.7, radial_velocity_mps=-3769.622)
+        report = run_pipeline(
+            skewed, truth, seed=1662192019, noise_sigma=0.05, spacing_tolerance_hz=1.0
+        )
+        assert report.detected
+        assert [c.coarse_bin for c in report.channels] == [4, 4, 4, 4]
+        assert abs(report.velocity_mps + 3769.622) <= 4.0
+
     def test_pipeline_is_deterministic_for_a_fixed_seed(self, setup):
         truth = TargetTruth(10e3, -900.0)
         a = run_pipeline(setup, truth, seed=7, noise_sigma=0.5)
