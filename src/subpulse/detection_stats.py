@@ -16,9 +16,10 @@ maps, and raises a false alarm when it loses in both. This module provides
     and
   * M-of-L fusion of per-channel probabilities.
 
-All probabilities depend on (sigma1, sigma2, m_re, m_im) only through scale
-ratios, so the unit-noise convention sigma1^2 = M, sigma2^2 = N is adopted
-when mapping an SNR axis onto model parameters.
+The probabilities depend on the noise only through scale ratios, and on the
+shared component's mean only through its power m, so the model measures
+every envelope in units of its map's noise scale and places the mean on the
+real axis: lambda1, lambda2, m, M and N are all it reads.
 """
 
 from __future__ import annotations
@@ -60,18 +61,15 @@ class NumericalDomainError(ArithmeticError):
 class ChannelStats:
     """Model parameters of one PRF channel.
 
-    sigma1/sigma2 set the pulse- and subpulse-domain noise scales,
-    lambda1/lambda2 the fraction of each target envelope drawn from the
-    shared scatterer (strictly inside (0, 1)), (m_re, m_im) the mean of that
-    shared component, and M/N the pulse and subpulse bin counts.
+    lambda1/lambda2 set the fraction of each target envelope drawn from the
+    shared scatterer (strictly inside (0, 1)), m_re the real mean amplitude
+    of that shared component, whose square is the mean power m, and M/N the
+    pulse and subpulse bin counts. Both maps' noise has unit scale.
     """
 
-    sigma1: float
-    sigma2: float
     lambda1: float
     lambda2: float
     m_re: float
-    m_im: float
     M: int
     N: int
 
@@ -81,34 +79,21 @@ class ChannelStats:
             if value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, value)
-        for name in ("sigma1", "sigma2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             # endpoints are singular: 0 removes the shared component, 1 the
             # independent one (zero conditional variance)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-        for name in ("m_re", "m_im"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.m_re):
+            raise ValueError(f"m_re must be finite, got {self.m_re!r}")
+        if self.m == math.inf:
+            raise ValueError(f"m_re={self.m_re!r} puts the mean power beyond float64")
 
     @cached_property
     def m(self) -> float:
         """Mean power of the shared scatterer component."""
-        return self.m_re * self.m_re + self.m_im * self.m_im
-
-    @cached_property
-    def omega1_sq(self) -> float:
-        """Per-component conditional variance of the pulse-domain envelope."""
-        return self.sigma1 ** 2 * (1.0 - self.lambda1 ** 2) / 2.0
-
-    @cached_property
-    def omega2_sq(self) -> float:
-        """Per-component conditional variance of the subpulse-domain envelope."""
-        return self.sigma2 ** 2 * (1.0 - self.lambda2 ** 2) / 2.0
+        return self.m_re * self.m_re
 
 
 @dataclass(frozen=True)
@@ -137,14 +122,12 @@ def from_snr(
     *,
     snr_scale: float = SNR_SCALE_DEFAULT,
 ) -> ChannelStats:
-    """Build ChannelStats from a pulse-domain SNR under unit noise.
+    """Build ChannelStats from a pulse-domain SNR.
 
-    Unit-noise convention: sigma1^2 = M, sigma2^2 = N (coherent integration
-    over M pulses / N subpulses of unit-power noise). The shared-component
-    mean power is m = snr_scale * M * snr1_linear with the mean placed on the
-    real axis. The default snr_scale is an empirical calibration that
-    reproduces the reference operating points checked by the acceptance
-    tests; the literal small-signal substitution corresponds to
+    The shared-component mean power is m = snr_scale * M * snr1_linear, and
+    the mean amplitude m_re = sqrt(m). The default snr_scale is an empirical
+    calibration that reproduces the reference operating points checked by
+    the acceptance tests; the literal small-signal substitution corresponds to
     snr_scale = 2 / lambda1**2 and drives m roughly an order of magnitude
     harder at the same axis value (pass it explicitly to get that behaviour).
     snr1_db = -inf is a silent target (m = 0); a nan snr1_db, or one whose m
@@ -168,16 +151,7 @@ def from_snr(
             f"snr1_db={snr1_db!r} puts the mean power beyond float64 "
             f"(snr_scale={snr_scale!r}, M={M})"
         )
-    return ChannelStats(
-        sigma1=math.sqrt(M),
-        sigma2=math.sqrt(N),
-        lambda1=lambda1,
-        lambda2=lambda2,
-        m_re=math.sqrt(m),
-        m_im=0.0,
-        M=M,
-        N=N,
-    )
+    return ChannelStats(lambda1=lambda1, lambda2=lambda2, m_re=math.sqrt(m), M=M, N=N)
 
 
 def _log_binomials(n: int) -> np.ndarray:
@@ -303,21 +277,21 @@ def _density_breakpoints(m: float) -> tuple:
     return (m - spread, m, m + spread)
 
 
-def _conditional_win(count: int, sigma: float, omega_sq: float, lam: float):
+def _conditional_win(count: int, lam: float):
     """Pr(target envelope beats all `count` Rayleigh competitors | shared power t).
 
-    Conditionally the envelope is Rician with noncentrality sigma*lam*sqrt(t)
-    and per-component variance omega_sq; competitors have per-component
-    variance sigma^2. Binomial expansion plus the Rician square-law MGF give
-    a short exponential mixture sum_k amp_k exp(-rate_k t), returned as the
-    arrays (amp, rate).
+    Conditionally the envelope is Rician with noncentrality lam*sqrt(t) and
+    per-component variance (1 - lam^2)/2; competitors have unit per-component
+    variance. Binomial expansion plus the Rician square-law MGF give a short
+    exponential mixture sum_k amp_k exp(-rate_k t), returned as the arrays
+    (amp, rate): amp_k = (-1)^k C(count, k)/q_k and rate_k = k lam^2/(2 q_k),
+    with q_k = 1 + k (1 - lam^2)/2.
     """
-    sigma_sq = sigma * sigma
     k = np.arange(count + 1, dtype=float)
-    denom = sigma_sq + k * omega_sq
+    q = 1.0 + k * ((1.0 - lam ** 2) / 2.0)
     signs = np.where(k % 2 == 1.0, -1.0, 1.0)
     binomials = np.array([float(math.comb(count, j)) for j in range(count + 1)])
-    return signs * binomials * (sigma_sq / denom), k * lam * lam * sigma_sq / (2.0 * denom)
+    return signs * binomials * (1.0 / q), k * lam * lam / (2.0 * q)
 
 
 def _mixture(mix, t: np.ndarray) -> np.ndarray:
@@ -333,13 +307,12 @@ def _oracles(points: list, lose: bool) -> tuple:
     """
     layouts, mixtures, channel = {}, [], []
     for s in points:
-        key = (s.M, s.N, s.sigma1, s.sigma2, s.lambda1, s.lambda2)
+        key = (s.M, s.N, s.lambda1, s.lambda2)
         if key not in layouts:
             layouts[key] = len(mixtures)
-            mixtures.append((
-                _conditional_win(s.M - 1, s.sigma1, s.omega1_sq, s.lambda1),
-                _conditional_win(s.N - 1, s.sigma2, s.omega2_sq, s.lambda2),
-            ))
+            mixtures.append(
+                (_conditional_win(s.M - 1, s.lambda1), _conditional_win(s.N - 1, s.lambda2))
+            )
         channel.append(layouts[key])
     channel = np.array(channel)
     m = np.array([s.m for s in points])

@@ -2,10 +2,10 @@
 
 The empirical referee the closed forms in detection_stats are accepted
 against. Each trial draws the correlated target envelopes r1, r2 and takes
-the conditional expectation over their Rayleigh(sigma_p) competitors
+the conditional expectation over their unit-scale Rayleigh competitors
 (conditional Monte Carlo: Asmussen & Glynn, *Stochastic Simulation*,
-Springer 2007, ch. V). With F(r) = 1 - exp(-r^2 / 2 sigma^2) the competitor
-CDF, the trial contributes
+Springer 2007, ch. V). With F(r) = 1 - exp(-r^2 / 2) the competitor CDF in
+both maps, the trial contributes
 
     Pr(win both)  = F1(r1)^(M-1) * F2(r2)^(N-1)
     Pr(lose both) = (1 - F1(r1)^(M-1)) * (1 - F2(r2)^(N-1))
@@ -54,6 +54,8 @@ class McConfig:
     row: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.stats, ChannelStats):
+            raise TypeError(f"stats must be ChannelStats, got {type(self.stats).__name__}")
         for name in ("seed", "trials", "batch_size", "row"):
             object.__setattr__(self, name, _integral(getattr(self, name), name))
         if self.seed < 0:
@@ -81,32 +83,31 @@ def _complex_batch(rng: RngStream, stats: ChannelStats, n: int):
     order A0 B0 A1 B1 A2 B2."""
     g = rng.generator
     a0 = g.normal(stats.m_re, _ROOT_HALF, n)
-    b0 = g.normal(stats.m_im, _ROOT_HALF, n)
-    a1, b1, a2, b2 = (g.normal(0.0, _ROOT_HALF, n) for _ in range(4))
+    b0, a1, b1, a2, b2 = (g.normal(0.0, _ROOT_HALF, n) for _ in range(5))
     k1 = math.sqrt(1.0 - stats.lambda1 ** 2)
     k2 = math.sqrt(1.0 - stats.lambda2 ** 2)
-    g1 = stats.sigma1 * ((k1 * a1 + stats.lambda1 * a0) + 1j * (k1 * b1 + stats.lambda1 * b0))
-    g2 = stats.sigma2 * ((k2 * a2 + stats.lambda2 * a0) + 1j * (k2 * b2 + stats.lambda2 * b0))
+    g1 = (k1 * a1 + stats.lambda1 * a0) + 1j * (k1 * b1 + stats.lambda1 * b0)
+    g2 = (k2 * a2 + stats.lambda2 * a0) + 1j * (k2 * b2 + stats.lambda2 * b0)
     return g1, g2
 
 
-def _win_lose(r: np.ndarray, sigma: float, k: int):
-    """Pr(r beats all k Rayleigh(sigma) competitors) and Pr(one beats r).
+def _win_lose(r: np.ndarray, k: int):
+    """Pr(r beats all k unit-scale Rayleigh competitors) and Pr(one beats r).
 
     F^k is taken as exp(k log F), and 1 - F^k as -expm1(k log F); k = 0 is
     exactly (1, 0), never 0 * log 0.
     """
     if k == 0:
         return np.ones_like(r), np.zeros_like(r)
-    k_log_f = k * np.log(-np.expm1(-0.5 * np.square(r / sigma)))
+    k_log_f = k * np.log(-np.expm1(-0.5 * np.square(r)))
     return np.exp(k_log_f), -np.expm1(k_log_f)
 
 
 def _run_batch(rng: RngStream, stats: ChannelStats, n: int):
     """Per-trial Pr(detection) and Pr(false alarm) given the target envelopes."""
     g1, g2 = _complex_batch(rng, stats, n)
-    win1, lose1 = _win_lose(np.abs(g1), stats.sigma1, stats.M - 1)
-    win2, lose2 = _win_lose(np.abs(g2), stats.sigma2, stats.N - 1)
+    win1, lose1 = _win_lose(np.abs(g1), stats.M - 1)
+    win2, lose2 = _win_lose(np.abs(g2), stats.N - 1)
     return win1 * win2, lose1 * lose2
 
 

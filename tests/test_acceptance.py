@@ -216,17 +216,9 @@ def test_structural_invariants():
     assert all(b >= a - 1e-12 for a, b in zip(pds, pds[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(pfas, pfas[1:]))
 
-    # outputs depend on the mean pair only through its power; swaps and sign
-    # flips keep that power bit-equal, so the outputs must be bit-equal too
-    base = ChannelStats(1.3, 0.9, 0.5, 0.99, 3.0, 1.0, 7, 8)
-    for m_re, m_im in ((1.0, 3.0), (-3.0, 1.0), (3.0, -1.0), (-1.0, -3.0)):
-        rotated = ChannelStats(1.3, 0.9, 0.5, 0.99, m_re, m_im, 7, 8)
-        assert pd_closed_form(rotated) == pd_closed_form(base)
-        assert pfa_closed_form(rotated) == pfa_closed_form(base)
-
     # a single bin per axis cannot lose to noise
     for m_re in (0.5, 2.0, 9.0):
-        lone = ChannelStats(1.0, 1.0, 0.5, 0.99, m_re, 0.0, 1, 1)
+        lone = ChannelStats(0.5, 0.99, m_re, 1, 1)
         assert pd_closed_form(lone) == pytest.approx(1.0, abs=1e-9)
         assert pfa_closed_form(lone) == 0.0
 

@@ -7,6 +7,7 @@ asserted here: the quadrature oracle for the closed forms, and a
 """
 
 import math
+import re
 import time
 from decimal import Decimal, localcontext
 
@@ -52,34 +53,34 @@ MC_M0_PFA = (0.456794, 0.0001575224560384963)
 
 
 def stats_m0_2x2():
-    return ChannelStats(
-        sigma1=1.0, sigma2=1.0, lambda1=0.5, lambda2=0.99,
-        m_re=0.0, m_im=0.0, M=2, N=2,
-    )
+    return ChannelStats(lambda1=0.5, lambda2=0.99, m_re=0.0, M=2, N=2)
 
 
 class TestChannelStats:
     def test_derived_quantities(self):
-        s = ChannelStats(1.5, 0.8, 0.5, 0.9, 3.0, 4.0, 5, 6)
-        assert s.m == pytest.approx(25.0)
-        assert s.omega1_sq == pytest.approx(1.5 ** 2 * (1 - 0.25) / 2)
-        assert s.omega2_sq == pytest.approx(0.8 ** 2 * (1 - 0.81) / 2)
+        assert ChannelStats(0.5, 0.9, 5.0, 5, 6).m == 25.0
+        assert ChannelStats(0.5, 0.9, -5.0, 5, 6).m == 25.0
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["sigma1", "sigma2"])
-    def test_noise_scale_must_be_finite_and_positive(self, field, value):
-        fields = dict(sigma1=1.0, sigma2=1.0, lambda1=0.5, lambda2=0.99,
-                      m_re=1.0, m_im=0.0, M=7, N=8)
-        fields[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be"):
-            ChannelStats(**fields)
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "m_re must be finite, got nan"),
+        (math.inf, "m_re must be finite, got inf"),
+        (1e200, "m_re=1e+200 puts the mean power beyond float64"),
+        (-1e155, "m_re=-1e+155 puts the mean power beyond float64"),
+    ], ids=["nan", "inf", "overflow", "negative-overflow"])
+    def test_an_unusable_mean_amplitude_is_refused_by_name(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChannelStats(0.5, 0.99, value, 7, 8)
+
+    def test_the_largest_usable_mean_amplitude_builds(self):
+        amp = math.sqrt(np.finfo(float).max) * (1.0 - 1e-15)
+        assert math.isfinite(ChannelStats(0.5, 0.99, amp, 7, 8).m)
 
     def test_loadings_must_be_strictly_inside_unit_interval(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
-                ChannelStats(1.0, 1.0, bad, 0.5, 0.0, 0.0, 2, 2)
+                ChannelStats(bad, 0.5, 0.0, 2, 2)
             with pytest.raises(ValueError):
-                ChannelStats(1.0, 1.0, 0.5, bad, 0.0, 0.0, 2, 2)
+                ChannelStats(0.5, bad, 0.0, 2, 2)
 
 
 class TestFromSnr:
@@ -91,11 +92,10 @@ class TestFromSnr:
         s = from_snr(10.0, 0.5, 0.99, 7, 8, snr_scale=2 / 0.5 ** 2)
         assert s.m == pytest.approx(560.0, rel=1e-12)
 
-    def test_unit_noise_sigmas(self):
+    def test_mean_amplitude_is_the_root_of_the_mean_power(self):
         s = from_snr(10.0, 0.5, 0.99, 7, 8)
-        assert s.sigma1 == pytest.approx(math.sqrt(7))
-        assert s.sigma2 == pytest.approx(math.sqrt(8))
-        assert s.m_im == 0.0
+        assert s.m_re == math.sqrt(0.32 * 7 * 10.0)
+        assert s.m == s.m_re * s.m_re
 
     @pytest.mark.parametrize("snr_db, scale, message", [
         (4000.0, 0.32, "snr1_db=4000.0 puts the mean power beyond float64"),
@@ -112,8 +112,8 @@ class TestFromSnr:
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5])
 @pytest.mark.parametrize("build, field", [
-    (lambda v: ChannelStats(1.0, 1.0, 0.5, 0.5, 0.0, 0.0, v, 2), "M"),
-    (lambda v: ChannelStats(1.0, 1.0, 0.5, 0.5, 0.0, 0.0, 2, v), "N"),
+    (lambda v: ChannelStats(0.5, 0.5, 0.0, v, 2), "M"),
+    (lambda v: ChannelStats(0.5, 0.5, 0.0, 2, v), "N"),
     (lambda v: from_snr(10.0, 0.5, 0.99, v, 8), "M"),
     (lambda v: from_snr(10.0, 0.5, 0.99, 7, v), "N"),
     (lambda v: FusionRule(required=v, total=2), "required"),
@@ -127,13 +127,13 @@ def test_non_integral_count_is_refused_by_name(build, field, value):
 class TestClosedForms:
     def test_single_bin_layout_always_detects(self):
         for m_re in (0.0, 1.0, 30.0):
-            s = ChannelStats(1.0, 1.0, 0.5, 0.99, m_re, 0.0, 1, 1)
+            s = ChannelStats(0.5, 0.99, m_re, 1, 1)
             assert pd_closed_form(s) == pytest.approx(1.0, abs=1e-9)
             assert pfa_closed_form(s) == 0.0
 
     def test_single_axis_layouts_cannot_false_alarm(self):
-        assert pfa_closed_form(ChannelStats(1.0, 1.0, 0.5, 0.99, 2.0, 0.0, 1, 8)) == 0.0
-        assert pfa_closed_form(ChannelStats(1.0, 1.0, 0.5, 0.99, 2.0, 0.0, 7, 1)) == 0.0
+        assert pfa_closed_form(ChannelStats(0.5, 0.99, 2.0, 1, 8)) == 0.0
+        assert pfa_closed_form(ChannelStats(0.5, 0.99, 2.0, 7, 1)) == 0.0
 
     def test_detection_reference_points(self):
         for pulses, expected in PD_AT_10DB.items():
@@ -154,7 +154,7 @@ class TestClosedForms:
 
 class TestOracles:
     def test_single_bin_layout(self):
-        s = ChannelStats(1.0, 1.0, 0.5, 0.99, 2.0, 0.0, 1, 1)
+        s = ChannelStats(0.5, 0.99, 2.0, 1, 1)
         assert pd_oracle(s) == pytest.approx(1.0, abs=1e-9)
         assert pfa_oracle(s) == pytest.approx(0.0, abs=1e-9)
 
@@ -250,6 +250,21 @@ class TestKernelPrecision:
             assert part in message
         assert pd_oracle(s) == pytest.approx(0.0038718566507820714, abs=1e-9)
 
+    def test_oracles_are_within_their_tolerance_of_the_exact_sums(self):
+        # the rule's own tolerance, max(1e-12, 1e-10 |p|), on the pool grid's
+        # lowest rows, where the alternating win mixtures cancel most
+        points = [
+            from_snr(snr_db, 0.5, 0.99, pulses, subpulses)
+            for pulses in POOL_PULSES
+            for subpulses in POOL_SUBPULSES
+            for snr_db in (4.0, 4.5, 5.0)
+        ]
+        exact = [decimal_sums(s) for s in points]
+        for column, oracle in enumerate((pd_oracle, pfa_oracle)):
+            for s, value, sums in zip(points, oracle(points), exact):
+                tolerance = max(1e-12, 1e-10 * abs(sums[column]))
+                assert abs(value - sums[column]) <= tolerance, (oracle.__name__, s.M, s.N, s.m)
+
     def test_pool_grid_is_certified_and_matches_quadrature(self):
         for pulses in POOL_PULSES:
             for subpulses in POOL_SUBPULSES:
@@ -284,7 +299,7 @@ class TestSequences:
         (pd_closed_form, (17, 32, -5.0), NumericalDomainError),
         (pfa_closed_form, (17, 32, -5.0), NumericalDomainError),
         (pd_oracle, (64, 8, 5.0), ConvergenceError),
-        (pfa_oracle, (17, 32, -5.0), ConvergenceError),
+        (pfa_oracle, (13, 32, -5.0), ConvergenceError),
     ], ids=lambda case: getattr(case, "__name__", ""))
     def test_a_sequence_raises_the_error_of_its_first_failing_point(self, fn, third, error):
         pulses, subpulses, snr_db = third
@@ -371,28 +386,3 @@ class TestStructuralProperties:
         pfa_vals = [pfa_closed_form(from_snr(g, 0.5, 0.99, 7, 8)) for g in grid]
         assert all(b >= a - 1e-12 for a, b in zip(pd_vals, pd_vals[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(pfa_vals, pfa_vals[1:]))
-
-    @given(st.floats(min_value=0.0, max_value=2 * math.pi))
-    @settings(max_examples=60, deadline=None)
-    def test_mean_phase_is_irrelevant(self, angle):
-        amp = 3.0
-        rotated = ChannelStats(
-            1.0, 1.0, 0.5, 0.99,
-            amp * math.cos(angle), amp * math.sin(angle), 7, 8,
-        )
-        onaxis = ChannelStats(1.0, 1.0, 0.5, 0.99, amp, 0.0, 7, 8)
-        if rotated.m == onaxis.m:
-            assert pd_closed_form(rotated) == pd_closed_form(onaxis)
-            assert pfa_closed_form(rotated) == pfa_closed_form(onaxis)
-        else:
-            # rounding in the trig pair; the law still only sees m
-            assert pd_closed_form(rotated) == pytest.approx(pd_closed_form(onaxis), rel=1e-9)
-
-    def test_joint_amplitude_scaling_is_invariant(self):
-        # sigma1, sigma2 scale together, m fixed; the mean parameters of the
-        # unit-variance shared pair do not participate in the scaling
-        base = ChannelStats(1.0, 1.2, 0.5, 0.8, 1.5, 0.5, 5, 6)
-        for c in (0.5, 3.0, 17.0):
-            scaled = ChannelStats(c, 1.2 * c, 0.5, 0.8, 1.5, 0.5, 5, 6)
-            assert pd_closed_form(scaled) == pd_closed_form(base)
-            assert pfa_closed_form(scaled) == pfa_closed_form(base)

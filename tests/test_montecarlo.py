@@ -38,15 +38,15 @@ def batch_values(stats, seed, row, trials, batch_size):
 
 class TestSampler:
     def test_complex_mean_tracks_the_loaded_mean(self):
-        s = ChannelStats(1.0, 1.0, 0.5, 0.99, 1.5, -0.8, 5, 5)
+        s = ChannelStats(0.5, 0.99, 1.5, 5, 5)
         n = 200_000
         g1, _ = montecarlo._complex_batch(RngStream(17, 0), s, n)
         mean = g1.mean()
-        target = s.sigma1 * s.lambda1 * complex(s.m_re, s.m_im)
+        target = s.lambda1 * s.m_re
         assert abs(mean - target) <= 3.0 / math.sqrt(n)
 
     def test_complex_correlation_equals_loading_product(self):
-        s = ChannelStats(1.0, 1.0, 0.5, 0.99, 1.5, -0.8, 5, 5)
+        s = ChannelStats(0.5, 0.99, 1.5, 5, 5)
         n = 200_000
         g1, g2 = montecarlo._complex_batch(RngStream(19, 0), s, n)
         cov = np.mean(g1 * np.conj(g2)) - g1.mean() * np.conj(g2.mean())
@@ -56,7 +56,7 @@ class TestSampler:
         assert cov.real / denom == pytest.approx(s.lambda1 * s.lambda2, abs=0.01)
 
     def test_vanishing_loadings_decouple_the_envelopes(self):
-        s = ChannelStats(1.0, 1.0, 1e-6, 1e-6, 0.0, 0.0, 5, 5)
+        s = ChannelStats(1e-6, 1e-6, 0.0, 5, 5)
         n = 200_000
         g1, g2 = montecarlo._complex_batch(RngStream(18, 0), s, n)
         p1, p2 = np.abs(g1) ** 2, np.abs(g2) ** 2
@@ -65,13 +65,13 @@ class TestSampler:
 
 class TestRunTrial:
     def test_single_bin_layout_always_detects(self):
-        s = ChannelStats(1.0, 1.0, 0.5, 0.99, 2.0, 0.0, 1, 1)
+        s = ChannelStats(0.5, 0.99, 2.0, 1, 1)
         est = estimate(McConfig(stats=s, seed=5, trials=200, batch_size=64))
         assert est.pd_hat == 1.0
         assert est.pfa_hat == 0.0
 
     def test_overwhelming_target_saturates_detection(self):
-        s = ChannelStats(1.0, 1.0, 0.5, 0.99, 1e4, 0.0, 4, 4)
+        s = ChannelStats(0.5, 0.99, 1e4, 4, 4)
         est = estimate(McConfig(stats=s, seed=0, trials=5000))
         assert est.pd_hat == 1.0
         assert est.pfa_hat == 0.0
@@ -167,8 +167,8 @@ class TestEstimate:
         s = from_snr(10.0, 0.5, 0.99, pulses, subpulses)
         n = 5000
         g1, g2 = montecarlo._complex_batch(RngStream(6, 2), s, n)
-        f1 = 1.0 - np.exp(-np.abs(g1) ** 2 / (2.0 * s.sigma1 ** 2))
-        f2 = 1.0 - np.exp(-np.abs(g2) ** 2 / (2.0 * s.sigma2 ** 2))
+        f1 = 1.0 - np.exp(-np.abs(g1) ** 2 / 2.0)
+        f2 = 1.0 - np.exp(-np.abs(g2) ** 2 / 2.0)
         win = f1 ** (pulses - 1) * f2 ** (subpulses - 1)
         lose = (1.0 - f1 ** (pulses - 1)) * (1.0 - f2 ** (subpulses - 1))
         pd, pfa = montecarlo._run_batch(RngStream(6, 2), s, n)
@@ -185,8 +185,8 @@ class TestEstimate:
         # the F^k that replaces the drawn competitors is the law of their row
         # max: at each drawn max it is a uniform variate (probability integral
         # transform), and an empty row (max -inf) is beaten with certainty
-        xmax = np.random.default_rng(8).rayleigh(0.7, (n, k)).max(axis=1, initial=-np.inf)
-        win, lose = montecarlo._win_lose(xmax, 0.7, k)
+        xmax = np.random.default_rng(8).rayleigh(1.0, (n, k)).max(axis=1, initial=-np.inf)
+        win, lose = montecarlo._win_lose(xmax, k)
         if k == 0:
             assert (win == 1.0).all() and (lose == 0.0).all()
             return
@@ -207,6 +207,11 @@ class TestEstimate:
             McConfig(stats=reference_stats(), seed=2.5)
         with pytest.raises(ValueError, match="row must be non-negative"):
             McConfig(stats=reference_stats(), seed=0, row=-1)
+
+    @pytest.mark.parametrize("stats", [(7, 8), None, "stats"])
+    def test_stats_that_are_not_channel_stats_are_refused_by_name(self, stats):
+        with pytest.raises(TypeError, match=f"^stats must be ChannelStats, got {type(stats).__name__}$"):
+            McConfig(stats=stats, seed=1)
 
     @pytest.mark.parametrize("field", ["trials", "batch_size", "row"])
     @pytest.mark.parametrize("value", [2.5, 1000.9, math.nan, math.inf])
