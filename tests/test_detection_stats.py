@@ -75,6 +75,13 @@ class TestChannelStats:
         amp = math.sqrt(np.finfo(float).max) * (1.0 - 1e-15)
         assert math.isfinite(ChannelStats(0.5, 0.99, amp, 7, 8).m)
 
+    @pytest.mark.parametrize("field", ["sigma1", "sigma2", "m_im"])
+    def test_the_dropped_noise_scales_and_mean_phase_are_refused(self, field):
+        # unit noise scale and a real mean are the whole model; a caller still
+        # passing the old fields must hear so rather than have them ignored
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            ChannelStats(lambda1=0.5, lambda2=0.99, m_re=1.0, M=7, N=8, **{field: 1.0})
+
     def test_loadings_must_be_strictly_inside_unit_interval(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
@@ -386,3 +393,21 @@ class TestStructuralProperties:
         pfa_vals = [pfa_closed_form(from_snr(g, 0.5, 0.99, 7, 8)) for g in grid]
         assert all(b >= a - 1e-12 for a, b in zip(pd_vals, pd_vals[1:]))
         assert all(b <= a + 1e-12 for a, b in zip(pfa_vals, pfa_vals[1:]))
+
+    @given(st.floats(min_value=0.0, max_value=40.0))
+    @settings(max_examples=40, deadline=None)
+    def test_mean_sign_is_irrelevant(self, amp):
+        # the law sees the mean amplitude only through its power m_re^2,
+        # which a sign flip keeps bit-equal
+        onaxis = ChannelStats(0.5, 0.99, amp, 7, 8)
+        flipped = ChannelStats(0.5, 0.99, -amp, 7, 8)
+        assert flipped.m == onaxis.m
+        assert pd_closed_form(flipped) == pd_closed_form(onaxis)
+        assert pfa_closed_form(flipped) == pfa_closed_form(onaxis)
+
+    def test_mean_sign_is_irrelevant_to_the_oracles(self):
+        for amp in (0.0, 1.5, 4.0):
+            onaxis = ChannelStats(0.5, 0.8, amp, 5, 6)
+            flipped = ChannelStats(0.5, 0.8, -amp, 5, 6)
+            assert pd_oracle(flipped) == pd_oracle(onaxis)
+            assert pfa_oracle(flipped) == pfa_oracle(onaxis)
