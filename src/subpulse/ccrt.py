@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _integral
+from .numerics import _finite, _integral
 
 __all__ = [
     "PrfChannel",
@@ -49,13 +49,9 @@ class PrfChannel:
     num_subpulses: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.prf) and self.prf > 0):
-            raise ValueError(f"prf must be finite and positive, got {self.prf!r}")
+        _finite(self.prf, "prf", "positive")
         for name in ("num_pulses", "num_subpulses"):
-            v = _integral(getattr(self, name), name)
-            if v < 1:
-                raise ValueError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _integral(getattr(self, name), name, 1))
 
     @property
     def bin_spacing(self) -> float:
@@ -73,9 +69,7 @@ class UnfoldResult:
 
 def modular_inverse(a: int, m: int) -> int:
     """Smallest b in [1, m) with (a*b) mod m = 1, or 0 when m = 1; pow(a, -1, m)."""
-    a, m = _integral(a, "a"), _integral(m, "modulus")
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    a, m = _integral(a, "a"), _integral(m, "modulus", 1)
     try:
         return pow(a, -1, m)
     except ValueError:
@@ -85,8 +79,6 @@ def modular_inverse(a: int, m: int) -> int:
 
 
 def _check_moduli(moduli: tuple[int, ...]) -> None:
-    if any(m < 1 for m in moduli):
-        raise ValueError("moduli must be >= 1")
     for a, b in itertools.combinations(moduli, 2):
         if math.gcd(a, b) != 1:
             raise NotInvertibleError(f"moduli {a} and {b} are not coprime")
@@ -109,7 +101,7 @@ def ccrt_solve(moduli: Sequence[int], residues):
     while sum_i (M_i - 1) * beta_i < 2**63, else Python ints in an object
     array. A non-integral residue is refused by name.
     """
-    moduli = tuple(_integral(m, "modulus") for m in moduli)
+    moduli = tuple(_integral(m, "modulus", 1) for m in moduli)
     if not moduli:
         raise ValueError("moduli must be non-empty")
     basis = _basis(moduli)
@@ -130,21 +122,14 @@ def ccrt_solve(moduli: Sequence[int], residues):
     return int(bins) if r.ndim == 1 else bins
 
 
-def _check_wavelength(wavelength: float) -> None:
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise ValueError(f"wavelength must be finite and positive, got {wavelength!r}")
-
-
 def doppler_to_velocity(f_d: float, wavelength: float) -> float:
     """Radial velocity for a Doppler shift: v = f * wavelength / 2."""
-    _check_wavelength(wavelength)
-    return f_d * wavelength / 2.0
+    return f_d * _finite(wavelength, "wavelength", "positive") / 2.0
 
 
 def velocity_to_doppler(v: float, wavelength: float) -> float:
     """Doppler shift for a radial velocity: f = 2 v / wavelength."""
-    _check_wavelength(wavelength)
-    return 2.0 * v / wavelength
+    return 2.0 * v / _finite(wavelength, "wavelength", "positive")
 
 
 def common_bin_spacing(channels: Sequence[PrfChannel]) -> float:
@@ -169,11 +154,7 @@ def _check_spacings(channels: Sequence[PrfChannel], spacing_tolerance_hz: float)
     tolerance asks for coincidence mode, so bin spacings that spread no
     wider than it. A negative or non-finite tolerance is refused by name.
     """
-    if not (math.isfinite(spacing_tolerance_hz) and spacing_tolerance_hz >= 0):
-        raise ValueError(
-            "spacing_tolerance_hz must be finite and non-negative, "
-            f"got {spacing_tolerance_hz!r}"
-        )
+    _finite(spacing_tolerance_hz, "spacing_tolerance_hz", "non-negative")
     if spacing_tolerance_hz == 0:
         common_bin_spacing(channels)
         return
@@ -216,9 +197,7 @@ def _search(
     deltas = np.array(list(itertools.product((0, -1, 1) if shifts else (0,), repeat=len(moduli))))
     bins = ccrt_solve(moduli, (measured + deltas) % np.array(moduli)).tolist()
     span = math.prod(moduli) * spacing
-    fmax = span / 2.0 if fmax_hz is None else float(fmax_hz)
-    if not math.isfinite(fmax):
-        raise ValueError(f"fmax_hz must be finite, got {fmax_hz!r}")
+    fmax = span / 2.0 if fmax_hz is None else _finite(float(fmax_hz), "fmax_hz")
     edges = (fmax, -fmax) if abs(coarse_hz) == fmax else (coarse_hz,)
     candidates = []  # (shifted residues, coarse distance, frequency, bin)
     for shifted, b in zip(np.count_nonzero(deltas, axis=1).tolist(), bins):

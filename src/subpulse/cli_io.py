@@ -37,7 +37,7 @@ from .detection_stats import (
     pfa_oracle,
 )
 from .montecarlo import McConfig, estimate
-from .numerics import RngStream
+from .numerics import RngStream, _finite, _integral
 from .radar_sim import (
     RadarSetup,
     TargetTruth,
@@ -95,6 +95,7 @@ _MC_MODES = frozenset({"pd_sweep", "pfa_sweep", "mc_validate"})
 _ORACLE_TOL = 1e-6  # closed form vs quadrature, absolute
 _MC_Z_LIMIT = 5.0
 _CCRT_BLOCK = 1 << 14  # lattice bins per array solve in ccrt_check
+_MAX_SNR_POINTS = 10_000  # a sweep grid's size, checked at load
 
 
 class ConfigError(ValueError):
@@ -216,8 +217,7 @@ def _parse_channels(raw: dict, mode: str) -> tuple[tuple[int, int], ...]:
         _refuse_unread(entry, f"channels[{i}].", mode)
         # ccrt_check builds no library object that checks these counts
         for key, count in zip(("pulses", "subpulses"), counts):
-            if count < 1:
-                raise ConfigError(f"field 'channels[{i}].{key}' must be >= 1, got {count}")
+            _build((f"channels[{i}].{key}",), _integral, count, key, 1)
         channels.append(counts)
     try:
         _check_moduli(tuple(pulses for pulses, _ in channels))
@@ -302,11 +302,16 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         stop = _need(grid, "snr_db.stop", float, required=True)
         step = _need(grid, "snr_db.step", float, default=1.0)
         _refuse_unread(grid, "snr_db.", effective)
-        if step <= 0:
-            raise ConfigError(f"snr_db.step must be > 0, got {step}")
+        _build(("snr_db.step",), _finite, step, "step", "positive")
         if stop < start:
             raise ConfigError(f"snr_db grid is empty: start {start} exceeds stop {stop}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9  # inf when the span overflows float64
+        if not steps < _MAX_SNR_POINTS:
+            raise ConfigError(
+                f"field 'snr_db': the grid from {start} to {stop} in steps of {step} "
+                f"has more than {_MAX_SNR_POINTS} points"
+            )
+        count = int(math.floor(steps)) + 1
         parsed["snr_grid"] = tuple(start + i * step for i in range(count))
 
     if effective == "fused_sweep":
@@ -347,8 +352,7 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         keys = ("target", "target.range_m", "target.amplitude")
         target = _build(keys, TargetTruth, range_m, velocity, amplitude)
         noise_sigma = _need(left, "noise_sigma", float, default=_DEFAULTS["noise_sigma"])
-        if noise_sigma < 0:
-            raise ConfigError(f"field 'noise_sigma' must be >= 0, got {noise_sigma}")
+        _build(("noise_sigma",), _finite, noise_sigma, "noise_sigma", "non-negative")
         parsed.update(
             radar=radar,
             target=target,
@@ -369,10 +373,10 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
 def load_config(path, *, mode: Optional[str] = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config, so that later stages can
     assume a coherent setup. The loader checks JSON types, finiteness, the SNR
-    grid's shape, the channel counts, the prf count, the Monte Carlo seed's
-    presence, `noise_sigma`, `output_path` and the keys a mode reads; value
-    ranges come from the library objects the run uses, built here, and their
-    refusals read "field '<dotted path>': <message>".
+    grid's shape and size, the channel counts, the prf count, the Monte Carlo
+    seed's presence, `noise_sigma`, `output_path` and the keys a mode reads;
+    other value ranges come from the library objects the run uses, built
+    here. Range refusals read "field '<dotted path>': <message>".
     """
     return _config_from_dict(_parse_json(path), mode=mode)
 
@@ -572,8 +576,6 @@ def _rows_simulate(config: ExperimentConfig, failures: list, exports: list):
 def _format_cell(value) -> str:
     if value is None:
         return "NA"
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _integral, bessel_i0_log, integrate_semi_infinite
+from .numerics import _finite, _integral, bessel_i0_log, integrate_semi_infinite
 
 __all__ = [
     "ChannelStats",
@@ -75,18 +75,14 @@ class ChannelStats:
 
     def __post_init__(self):
         for name in ("M", "N"):
-            value = _integral(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _integral(getattr(self, name), name, 1))
         for name in ("lambda1", "lambda2"):
             value = getattr(self, name)
             # endpoints are singular: 0 removes the shared component, 1 the
             # independent one (zero conditional variance)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-        if not math.isfinite(self.m_re):
-            raise ValueError(f"m_re must be finite, got {self.m_re!r}")
+        _finite(self.m_re, "m_re")
         if self.m == math.inf:
             raise ValueError(f"m_re={self.m_re!r} puts the mean power beyond float64")
 
@@ -136,8 +132,7 @@ def from_snr(
     """
     M = _integral(M, "M")
     N = _integral(N, "N")
-    if not (math.isfinite(snr_scale) and snr_scale > 0):
-        raise ValueError(f"snr_scale must be finite and positive, got {snr_scale!r}")
+    _finite(snr_scale, "snr_scale", "positive")
     snr1_db = float(snr1_db)
     if math.isnan(snr1_db):
         raise ValueError(f"snr1_db must be a number, got {snr1_db!r}")

@@ -56,16 +56,8 @@ class McConfig:
     def __post_init__(self):
         if not isinstance(self.stats, ChannelStats):
             raise TypeError(f"stats must be ChannelStats, got {type(self.stats).__name__}")
-        for name in ("seed", "trials", "batch_size", "row"):
-            object.__setattr__(self, name, _integral(getattr(self, name), name))
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.row < 0:
-            raise ValueError(f"row must be non-negative, got {self.row}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, least in (("seed", 0), ("trials", 1), ("batch_size", 1), ("row", 0)):
+            object.__setattr__(self, name, _integral(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)

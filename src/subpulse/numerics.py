@@ -82,14 +82,32 @@ class ConvergenceError(ArithmeticError):
         self.error_bound = error_bound
 
 
-def _integral(value, name: str) -> int:
-    """`value` as an int; a ValueError naming `name` unless it is integral."""
+def _integral(value, name: str, least: int | None = None) -> int:
+    """`value` as an int; a ValueError naming `name` unless it is integral
+    and, when `least` is given, at least `least`."""
     try:
-        if int(value) == value:
-            return int(value)
+        integral = int(value) == value
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if least is not None and value < least:
+        rule = "non-negative" if least == 0 else f">= {least}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+_SIGNS = {"": lambda v: True, "positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}
+
+
+def _finite(value, name: str, sign: str = ""):
+    """`value`; a ValueError naming `name` unless it is finite and, when `sign`
+    is "positive" or "non-negative", of that sign."""
+    if not (math.isfinite(value) and _SIGNS[sign](value)):
+        rule = f"finite and {sign}" if sign else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
 class RngStream:
@@ -103,12 +121,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int | tuple = 0):
-        self.seed = _integral(seed, "seed")
+        self.seed = _integral(seed, "seed", 0)
         key = stream_id if isinstance(stream_id, tuple) else (stream_id,)
-        key = tuple(_integral(part, "stream_id") for part in key)
-        for name, value in (("seed", self.seed), *(("stream_id", part) for part in key)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+        key = tuple(_integral(part, "stream_id", 0) for part in key)
         self.stream_id = key if isinstance(stream_id, tuple) else key[0]
         self._gen = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=key)

@@ -43,7 +43,7 @@ from .ccrt import (
     unfold_tolerant,
     velocity_to_doppler,
 )
-from .numerics import RngStream, _correlations, _integral, _thread_map, matched_filter
+from .numerics import RngStream, _correlations, _finite, _integral, _thread_map, matched_filter
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -87,21 +87,11 @@ class RadarSetup:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
-            raise ValueError(f"carrier_hz must be finite and positive, got {self.carrier_hz!r}")
-        if not (math.isfinite(self.pulse_width_s) and self.pulse_width_s > 0):
-            raise ValueError(
-                f"pulse_width_s must be finite and positive, got {self.pulse_width_s!r}"
-            )
+        _finite(self.carrier_hz, "carrier_hz", "positive")
+        _finite(self.pulse_width_s, "pulse_width_s", "positive")
         # checked before sample_rate_hz, which build() derives from it
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz >= 0):
-            raise ValueError(
-                f"bandwidth_hz must be finite and non-negative, got {self.bandwidth_hz!r}"
-            )
-        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise ValueError(
-                f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz!r}"
-            )
+        _finite(self.bandwidth_hz, "bandwidth_hz", "non-negative")
+        _finite(self.sample_rate_hz, "sample_rate_hz", "positive")
         if self.sample_rate_hz < 2.0 * self.bandwidth_hz:
             raise ValueError(
                 f"sample_rate_hz {self.sample_rate_hz!r} must be at least twice "
@@ -148,12 +138,9 @@ class TargetTruth:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.range_m) and self.range_m > 0):
-            raise ValueError(f"range_m must be finite and positive, got {self.range_m!r}")
-        if not math.isfinite(self.radial_velocity_mps):
-            raise ValueError("radial_velocity_mps must be finite")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude!r}")
+        _finite(self.range_m, "range_m", "positive")
+        _finite(self.radial_velocity_mps, "radial_velocity_mps")
+        _finite(self.amplitude, "amplitude", "non-negative")
 
 
 @dataclass(frozen=True)
@@ -225,9 +212,7 @@ def split_subpulses(replica: Sequence, n: int) -> list:
     the segments reproduces the replica.
     """
     arr = np.asarray(replica)
-    n = _integral(n, "subpulse count")
-    if n < 1:
-        raise ValueError(f"subpulse count must be >= 1, got {n}")
+    n = _integral(n, "subpulse count", 1)
     if n > arr.size:
         raise ValueError(f"cannot split {arr.size} samples into {n} subpulses")
     base, rem = divmod(arr.size, n)
@@ -256,8 +241,7 @@ def synth_echo(
     per-component variance noise_sigma^2/2 is added when noise_sigma > 0
     (real grid drawn first, then imaginary).
     """
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and non-negative, got {noise_sigma!r}")
+    _finite(noise_sigma, "noise_sigma", "non-negative")
     if noise_sigma > 0 and rng is None:
         raise ValueError("an RngStream is required when noise_sigma > 0")
     replica = make_lfm(setup)

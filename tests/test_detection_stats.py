@@ -272,6 +272,32 @@ class TestKernelPrecision:
                 tolerance = max(1e-12, 1e-10 * abs(sums[column]))
                 assert abs(value - sums[column]) <= tolerance, (oracle.__name__, s.M, s.N, s.m)
 
+    # Below the pool grid the oracles return values off by more than that
+    # tolerance, with no error: their bound leaves out the rounding of the
+    # alternating mixture they integrate (ROADMAP item 3a). Measured miss, in
+    # tolerances: 5.3, 1.8, 9.1, 1.09 and 16.7. A bound that covers the
+    # rounding either certifies these values or raises, and then they XPASS.
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the oracle bound omits the mixture's rounding")
+    @pytest.mark.parametrize("oracle, column, point", [
+        (pfa_oracle, 1, (31, 32, -5.0)),
+        (pfa_oracle, 1, (31, 32, -2.0)),
+        (pfa_oracle, 1, (7, 32, 0.0)),
+        (pfa_oracle, 1, (17, 32, -5.0)),
+        (pd_oracle, 0, (31, 32, -3.0)),
+    ], ids=["pfa-31-32-m5", "pfa-31-32-m2", "pfa-7-32-0", "pfa-17-32-m5", "pd-31-32-m3"])
+    def test_an_oracle_value_below_the_pool_is_within_tolerance_or_raises(
+        self, oracle, column, point
+    ):
+        pulses, subpulses, snr_db = point
+        s = from_snr(snr_db, 0.5, 0.99, pulses, subpulses)
+        exact = decimal_sums(s)[column]
+        try:
+            value = oracle(s)
+        except ConvergenceError:
+            return
+        assert abs(value - exact) <= max(1e-12, 1e-10 * abs(exact))
+
     def test_pool_grid_is_certified_and_matches_quadrature(self):
         for pulses in POOL_PULSES:
             for subpulses in POOL_SUBPULSES:
