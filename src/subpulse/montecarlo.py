@@ -10,7 +10,9 @@ both maps, the trial contributes
     Pr(win both)  = F1(r1)^(M-1) * F2(r2)^(N-1)
     Pr(lose both) = (1 - F1(r1)^(M-1)) * (1 - F2(r2)^(N-1))
 
-so no competitor is ever drawn: six normals a trial at any (M, N). The
+so no competitor is ever drawn: four normals a trial at any (M, N), the
+parts of the two independent complex normals that `_target_pair` mixes into
+the correlated pair, worked in real arithmetic on the powers r^2. The
 estimates are means of values in [0, 1], with sample standard errors; their
 variance is never above that of counting outcomes (Rao-Blackwell).
 
@@ -20,7 +22,8 @@ bit-identical for a given (seed, row, trials, batch_size) no matter how
 batches are scheduled; `estimate` runs them through numerics._thread_map,
 one worker per usable CPU (numpy's generators release the GIL while they
 fill arrays), and pools their sums in batch order. Each worker holds one
-batch's working set, so peak memory grows with the worker count.
+batch's working set, 48 bytes a trial at its peak, so peak memory grows with
+the worker count; McConfig caps a batch at 2^20 trials.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .numerics import RngStream, _integral, _thread_map
 __all__ = ["McConfig", "McEstimate", "estimate"]
 
 _DEFAULT_BATCH = 1 << 16
+_MAX_BATCH = 1 << 20  # a batch holds 48 bytes a trial at its peak: 48 MiB per worker
 _ROOT_HALF = math.sqrt(0.5)  # std of a variance-1/2 component
 
 
@@ -56,8 +60,10 @@ class McConfig:
     def __post_init__(self):
         if not isinstance(self.stats, ChannelStats):
             raise TypeError(f"stats must be ChannelStats, got {type(self.stats).__name__}")
-        for name, least in (("seed", 0), ("trials", 1), ("batch_size", 1), ("row", 0)):
-            object.__setattr__(self, name, _integral(getattr(self, name), name, least))
+        for name, least, most in (
+            ("seed", 0, None), ("trials", 1, None), ("batch_size", 1, _MAX_BATCH), ("row", 0, None)
+        ):
+            object.__setattr__(self, name, _integral(getattr(self, name), name, least, most))
 
 
 @dataclass(frozen=True)
@@ -70,44 +76,66 @@ class McEstimate:
     seed: int
 
 
-def _complex_batch(rng: RngStream, stats: ChannelStats, n: int):
-    """n correlated target pairs (g1, g2) from six normal draws, in the fixed
-    order A0 B0 A1 B1 A2 B2."""
-    g = rng.generator
-    a0 = g.normal(stats.m_re, _ROOT_HALF, n)
-    b0, a1, b1, a2, b2 = (g.normal(0.0, _ROOT_HALF, n) for _ in range(5))
-    k1 = math.sqrt(1.0 - stats.lambda1 ** 2)
-    k2 = math.sqrt(1.0 - stats.lambda2 ** 2)
-    g1 = (k1 * a1 + stats.lambda1 * a0) + 1j * (k1 * b1 + stats.lambda1 * b0)
-    g2 = (k2 * a2 + stats.lambda2 * a0) + 1j * (k2 * b2 + stats.lambda2 * b0)
-    return g1, g2
+def _target_pair(rng: RngStream, stats: ChannelStats, n: int) -> np.ndarray:
+    """n correlated target pairs as a (4, n) array, rows Re g1, Im g1, Re g2,
+    Im g2, from one draw of four standard normals a trial.
+
+    With u1, u2 the two complex normals of unit variance (rows 0-1 and 2-3 of
+    the draw, scaled by sqrt(1/2)) and rho = lambda1 lambda2,
+
+        g1 = lambda1 m_re + u1
+        g2 = lambda2 m_re + rho u1 + sqrt(1 - rho^2) u2
+
+    which is the joint law of g_i = lambda_i z + sqrt(1 - lambda_i^2) w_i with
+    z ~ CN(m_re, 1) shared: means lambda_i m_re, unit variances, correlation rho.
+    """
+    g = rng.generator.standard_normal((4, n))
+    g *= _ROOT_HALF
+    rho = stats.lambda1 * stats.lambda2
+    g[2:] *= math.sqrt((1.0 - rho) * (1.0 + rho))
+    g[2:] += rho * g[:2]
+    g[0] += stats.lambda1 * stats.m_re
+    g[2] += stats.lambda2 * stats.m_re
+    return g
 
 
-def _win_lose(r: np.ndarray, k: int):
-    """Pr(r beats all k unit-scale Rayleigh competitors) and Pr(one beats r).
+def _win_lose(p: np.ndarray, k: int):
+    """Pr(a target of power p = r^2 beats all k unit-scale Rayleigh
+    competitors) and Pr(one beats it); p's buffer is overwritten.
 
-    F^k is taken as exp(k log F), and 1 - F^k as -expm1(k log F); k = 0 is
-    exactly (1, 0), never 0 * log 0.
+    F = -expm1(-p / 2); F^k is taken as exp(k log F), and 1 - F^k as
+    -expm1(k log F); k = 0 is exactly (1, 0), never 0 * log 0.
     """
     if k == 0:
-        return np.ones_like(r), np.zeros_like(r)
-    k_log_f = k * np.log(-np.expm1(-0.5 * np.square(r)))
-    return np.exp(k_log_f), -np.expm1(k_log_f)
+        return np.ones_like(p), np.zeros_like(p)
+    p *= -0.5
+    np.expm1(p, out=p)
+    np.negative(p, out=p)
+    np.log(p, out=p)
+    p *= k
+    win = np.exp(p)
+    np.expm1(p, out=p)
+    np.negative(p, out=p)
+    return win, p
 
 
 def _run_batch(rng: RngStream, stats: ChannelStats, n: int):
-    """Per-trial Pr(detection) and Pr(false alarm) given the target envelopes."""
-    g1, g2 = _complex_batch(rng, stats, n)
-    win1, lose1 = _win_lose(np.abs(g1), stats.M - 1)
-    win2, lose2 = _win_lose(np.abs(g2), stats.N - 1)
-    return win1 * win2, lose1 * lose2
+    """Per-trial Pr(detection) and Pr(false alarm) given the target powers."""
+    g = _target_pair(rng, stats, n)
+    np.square(g, out=g)
+    np.add(g[0::2], g[1::2], out=g[0::2])  # rows 0 and 2: |g1|^2 and |g2|^2
+    win1, lose1 = _win_lose(g[0], stats.M - 1)
+    win2, lose2 = _win_lose(g[2], stats.N - 1)
+    win1 *= win2
+    lose1 *= lose2
+    return win1, lose1
 
 
 def _moments(values: np.ndarray):
     """(count, sum, centred sum of squares) of one batch's values."""
     total = float(values.sum())
     centred = values - total / values.size
-    return values.size, total, float(np.square(centred).sum())
+    return values.size, total, float(np.square(centred, out=centred).sum())
 
 
 def _mean_and_stderr(parts) -> tuple[float, float]:

@@ -82,9 +82,9 @@ class ConvergenceError(ArithmeticError):
         self.error_bound = error_bound
 
 
-def _integral(value, name: str, least: int | None = None) -> int:
+def _integral(value, name: str, least: int | None = None, most: int | None = None) -> int:
     """`value` as an int; a ValueError naming `name` unless it is integral
-    and, when `least` is given, at least `least`."""
+    and, when `least` or `most` is given, at least `least` and at most `most`."""
     try:
         integral = int(value) == value
     except (TypeError, ValueError, OverflowError):
@@ -94,8 +94,11 @@ def _integral(value, name: str, least: int | None = None) -> int:
     value = int(value)
     if least is not None and value < least:
         rule = "non-negative" if least == 0 else f">= {least}"
-        raise ValueError(f"{name} must be {rule}, got {value}")
-    return value
+    elif most is not None and value > most:
+        rule = f"<= {most}"
+    else:
+        return value
+    raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 _SIGNS = {"": lambda v: True, "positive": lambda v: v > 0, "non-negative": lambda v: v >= 0}

@@ -741,6 +741,9 @@ class TestConfigErrors:
         ("pd", sweep_config, {"channels": [{"pulses": 10 ** 400}]}, f"field 'channels[0]': {_HUGE}"),
         ("simulate", radar_config, {"channels": [{"pulses": p, "subpulses": 8} for p in (
             10 ** 400, 13, 17, 19)]}, f"field 'channels[].pulses': {_HUGE}"),
+        # a batch past the cap is refused before any trial is drawn
+        ("mc", sweep_config, {"seed": 1, "mc": {"batch_size": 1 << 31}},
+         "field 'mc.batch_size': batch_size must be <= 1048576, got 2147483648"),
     ])
     def test_a_refusal_names_the_dotted_key(
         self, tmp_path, capsys, command, make, overrides, message
@@ -826,6 +829,7 @@ LIBRARY_REFUSALS = [
     (lambda v: split_subpulses([1.0] * 8, v), "subpulse count", 0),
     (lambda v: synth_echo(RadarSetup(**_RADAR), _CHANNEL, TargetTruth(**_TARGET),
                           noise_sigma=v), "noise_sigma", -0.5),
+    (lambda v: McConfig(**_MC, batch_size=v), "batch_size", (1 << 20) + 1),
 ]
 # the refusals whose wording changed when they moved into the shared helpers
 NEW_WORDINGS = {

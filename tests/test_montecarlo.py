@@ -36,11 +36,17 @@ def batch_values(stats, seed, row, trials, batch_size):
     ]
 
 
+def target_pair(stats, seed, n, stream=0):
+    """The complex target pair (g1, g2) of one batch's draw."""
+    g = montecarlo._target_pair(RngStream(seed, stream), stats, n)
+    return g[0] + 1j * g[1], g[2] + 1j * g[3]
+
+
 class TestSampler:
     def test_complex_mean_tracks_the_loaded_mean(self):
         s = ChannelStats(0.5, 0.99, 1.5, 5, 5)
         n = 200_000
-        g1, _ = montecarlo._complex_batch(RngStream(17, 0), s, n)
+        g1, _ = target_pair(s, 17, n)
         mean = g1.mean()
         target = s.lambda1 * s.m_re
         assert abs(mean - target) <= 3.0 / math.sqrt(n)
@@ -48,7 +54,7 @@ class TestSampler:
     def test_complex_correlation_equals_loading_product(self):
         s = ChannelStats(0.5, 0.99, 1.5, 5, 5)
         n = 200_000
-        g1, g2 = montecarlo._complex_batch(RngStream(19, 0), s, n)
+        g1, g2 = target_pair(s, 19, n)
         cov = np.mean(g1 * np.conj(g2)) - g1.mean() * np.conj(g2.mean())
         denom = math.sqrt(
             (np.var(g1.real) + np.var(g1.imag)) * (np.var(g2.real) + np.var(g2.imag))
@@ -58,9 +64,33 @@ class TestSampler:
     def test_vanishing_loadings_decouple_the_envelopes(self):
         s = ChannelStats(1e-6, 1e-6, 0.0, 5, 5)
         n = 200_000
-        g1, g2 = montecarlo._complex_batch(RngStream(18, 0), s, n)
+        g1, g2 = target_pair(s, 18, n)
         p1, p2 = np.abs(g1) ** 2, np.abs(g2) ** 2
         assert abs(np.corrcoef(p1, p2)[0, 1]) <= 3.0 / math.sqrt(n)
+
+    @pytest.mark.parametrize("lambda1, lambda2, m_re", [
+        (0.5, 0.99, 1.5),
+        (0.001, 0.999999, 3.0),
+        (0.9999, 0.9999, 3.0),  # lambda1 lambda2 = 0.9998: g2 is nearly g1
+    ])
+    def test_each_target_has_its_own_mean_unit_variance_and_the_loading_correlation(
+        self, lambda1, lambda2, m_re
+    ):
+        # |g - E g|^2 is Exp(1) at unit variance, so its mean has SE 1/sqrt(n);
+        # the sample correlation's SE is at most (1 - rho^2)/sqrt(n), which
+        # near rho = 1 resolves the sqrt(1 - rho^2) coefficient of u2
+        s = ChannelStats(lambda1, lambda2, m_re, 5, 5)
+        rho = lambda1 * lambda2
+        n = 200_000
+        g1, g2 = target_pair(s, 23, n)
+        for g, loading in ((g1, lambda1), (g2, lambda2)):
+            assert abs(g.mean() - loading * m_re) <= 4.0 / math.sqrt(n)
+            assert abs(np.mean(np.abs(g - g.mean()) ** 2) - 1.0) <= 5.0 / math.sqrt(n)
+        d1, d2 = g1 - g1.mean(), g2 - g2.mean()
+        corr = np.mean(d1 * np.conj(d2)).real / math.sqrt(
+            np.mean(np.abs(d1) ** 2) * np.mean(np.abs(d2) ** 2)
+        )
+        assert abs(corr - rho) <= 5.0 * (1.0 - rho ** 2) / math.sqrt(n)
 
 
 class TestRunTrial:
@@ -166,7 +196,7 @@ class TestEstimate:
     def test_batch_is_the_competitor_cdf_at_the_target_envelopes(self, pulses, subpulses):
         s = from_snr(10.0, 0.5, 0.99, pulses, subpulses)
         n = 5000
-        g1, g2 = montecarlo._complex_batch(RngStream(6, 2), s, n)
+        g1, g2 = target_pair(s, 6, n, stream=2)
         f1 = 1.0 - np.exp(-np.abs(g1) ** 2 / 2.0)
         f2 = 1.0 - np.exp(-np.abs(g2) ** 2 / 2.0)
         win = f1 ** (pulses - 1) * f2 ** (subpulses - 1)
@@ -183,10 +213,10 @@ class TestEstimate:
     @pytest.mark.parametrize("k", [0, 1, 30])
     def test_sliced_exponential_max_equals_the_rayleigh_row_max(self, k, n):
         # the F^k that replaces the drawn competitors is the law of their row
-        # max: at each drawn max it is a uniform variate (probability integral
-        # transform), and an empty row (max -inf) is beaten with certainty
+        # max: at each drawn max's power it is a uniform variate (probability
+        # integral transform), and an empty row (max -inf) is beaten with certainty
         xmax = np.random.default_rng(8).rayleigh(1.0, (n, k)).max(axis=1, initial=-np.inf)
-        win, lose = montecarlo._win_lose(xmax, k)
+        win, lose = montecarlo._win_lose(np.square(xmax), k)
         if k == 0:
             assert (win == 1.0).all() and (lose == 0.0).all()
             return
@@ -207,6 +237,10 @@ class TestEstimate:
             McConfig(stats=reference_stats(), seed=2.5)
         with pytest.raises(ValueError, match="row must be non-negative"):
             McConfig(stats=reference_stats(), seed=0, row=-1)
+        # a batch is capped at 2^20 trials, refused before any is drawn
+        assert McConfig(stats=reference_stats(), seed=0, batch_size=1 << 20).batch_size == 1 << 20
+        with pytest.raises(ValueError, match="^batch_size must be <= 1048576, got 2147483648$"):
+            McConfig(stats=reference_stats(), seed=0, batch_size=1 << 31)
 
     @pytest.mark.parametrize("stats", [(7, 8), None, "stats"])
     def test_stats_that_are_not_channel_stats_are_refused_by_name(self, stats):
