@@ -356,10 +356,12 @@ def _correlations(rx, replica):
     nfft = _next_fast_len(rx.shape[-1])
     replica_spectra = np.conj(np.fft.fft(replica, n=nfft))
     product = np.empty_like(replica_spectra)
-    # one window at a time: the full (window, replica, n) product would hold
-    # several times the output in memory at once
-    for spectrum in np.fft.fft(rx, n=nfft):
-        np.multiply(spectrum, replica_spectra, out=product)
+    # one window at a time, its spectrum included: the full (window,
+    # replica, n) product, or even the (window, n) spectra, would hold
+    # several times one window's share in memory at once. A window's FFT
+    # has the same bits alone as in a stack
+    for window in rx:
+        np.multiply(np.fft.fft(window, n=nfft), replica_spectra, out=product)
         yield np.fft.ifft(product, out=product)[..., :out_len]
 
 

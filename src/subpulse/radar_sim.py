@@ -11,12 +11,18 @@ congruence-based velocity unfolding in ccrt.
 Compression and both DFTs are linear, so doppler_maps takes the DFTs first:
 the pulse DFT on the raw receive windows, and the segment DFT folded into N
 phase-stepped copies of the replica, a subpulse-Doppler filter bank. The
-maps arrive as magnitudes window by window: each pulse-Doppler row is
-correlated against the bank and reduced to |.| at once, so the complex
-(pulse, segment, range) cube is never held. run_pipeline, and the CLI's
-simulate through the same private helper, carries each channel on its own
-thread from echo to maps (to exported files, for the CLI) to peaks; only
-the peaks come back to be fused, so no channel's maps outlive its thread.
+segment map comes one pulse-Doppler row at a time: each row is correlated
+against the bank and reduced to |.| at once, so the complex (pulse,
+segment, range) cube is never held.
+
+run_pipeline, and the CLI's simulate through the same private helper,
+carries each channel on its own thread from echo to peaks. A run that
+exports nothing hands each row to the peak picker as it is made, in one
+reused buffer, so the segment map is never held whole; the picker keeps
+only the pulse map, each row's zero-segment slice. A run that exports maps
+makes each channel's maps whole with doppler_maps, writes them, and picks
+the same peaks from them. Only the peaks come back to be fused, so no
+channel's maps outlive its thread.
 
 Intra-pulse Doppler is modelled as a phase that advances once per subpulse
 interval; that is what degrades the full-replica compression of fast targets
@@ -26,6 +32,7 @@ deliberate).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -168,8 +175,9 @@ class Datacube:
 class DopplerMap:
     """Magnitude maps of one channel.
 
-    pp: [pulse-doppler bin, range bin], the full-replica map (sp's
-        zero subpulse-doppler slice).
+    pp: [pulse-doppler bin, range bin], the full-replica map, sp[:, 0, :]
+        (sp's zero subpulse-doppler slice). The peak picker reads the
+        pulse map from sp alone, so a map built by hand must keep it so.
     sp: [pulse-doppler bin, subpulse-doppler bin, range bin], the 2-D DFT
         of the per-segment compression.
     """
@@ -264,8 +272,10 @@ def synth_echo(
     if noise_sigma > 0:
         g = rng.generator
         scale = noise_sigma / math.sqrt(2.0)
-        rx += g.normal(0.0, scale, rx.shape)
-        rx += 1j * g.normal(0.0, scale, rx.shape)
+        # in place, with no complex temporary; adding to each part alone
+        # keeps the bits of adding a real and then an imaginary grid
+        rx.real += g.normal(0.0, scale, rx.shape)
+        rx.imag += g.normal(0.0, scale, rx.shape)
     return rx
 
 
@@ -304,6 +314,49 @@ def build_datacube(profiles, channel: PrfChannel) -> Datacube:
     return Datacube(channel=channel, data=arr.transpose(2, 0, 1))
 
 
+def _filter_bank(rx_per_pulse, subpulse_replicas, channel: PrfChannel):
+    """doppler_maps' checked receive windows and its subpulse-Doppler filter
+    bank, (N, replica length), row l the segments rotated by l s / N turns."""
+    segments = [np.asarray(seg) for seg in subpulse_replicas]
+    if not segments or min(seg.size for seg in segments) == 0:
+        raise ValueError("every subpulse replica must be non-empty")
+    rx = np.asarray(rx_per_pulse, dtype=np.complex128)
+    if rx.ndim != 2 or rx.shape[0] != channel.num_pulses or len(segments) != channel.num_subpulses:
+        raise ValueError(
+            f"{rx.shape} receive windows and {len(segments)} segments do not match channel "
+            f"({channel.num_pulses} pulses, {channel.num_subpulses} subpulses)"
+        )
+    if not np.isfinite(rx).all():
+        raise ValueError("receive window samples must be finite")
+    n = len(segments)
+    # (l s) mod N first keeps every phase as accurate as the N-th roots of unity
+    phases = np.exp(2j * math.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
+    bank = np.concatenate(segments) * np.repeat(phases, [seg.size for seg in segments], axis=1)
+    if bank.shape[1] > rx.shape[1]:
+        raise ValueError("replica must not be longer than rx")
+    return rx, bank
+
+
+def _map_shape(rx, bank) -> tuple:
+    """The segment map's (pulse-Doppler, subpulse-Doppler, range) shape."""
+    return (rx.shape[0], bank.shape[0], rx.shape[1] - bank.shape[1] + 1)
+
+
+def _map_rows(spectra, bank, out=None):
+    """Each pulse-Doppler row's (N, R) segment-map magnitudes, in row order,
+    from the pulse-axis DFT of the receive windows and the filter bank.
+
+    The rows are written into out[k] when `out` (the whole map) is given,
+    else into one buffer that the next row overwrites. Each row is reduced
+    to |.| straight from the inverse-FFT buffer, so the complex (pulse,
+    segment, range) cube is never held.
+    """
+    rows = out if out is not None else itertools.repeat(np.empty(_map_shape(spectra, bank)[1:]))
+    for row, block in zip(rows, _correlations(spectra, bank)):
+        np.abs(block, out=row)
+        yield row
+
+
 def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> DopplerMap:
     """Magnitude Doppler maps of one channel's receive windows.
 
@@ -322,28 +375,10 @@ def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> Dopple
     and no per-range transform is left. Each pulse-Doppler row is reduced to
     magnitudes as soon as it is correlated.
     """
-    segments = [np.asarray(seg) for seg in subpulse_replicas]
-    if not segments or min(seg.size for seg in segments) == 0:
-        raise ValueError("every subpulse replica must be non-empty")
-    rx = np.asarray(rx_per_pulse, dtype=np.complex128)
-    if rx.ndim != 2 or rx.shape[0] != channel.num_pulses or len(segments) != channel.num_subpulses:
-        raise ValueError(
-            f"{rx.shape} receive windows and {len(segments)} segments do not match channel "
-            f"({channel.num_pulses} pulses, {channel.num_subpulses} subpulses)"
-        )
-    if not np.isfinite(rx).all():
-        raise ValueError("receive window samples must be finite")
-    n = len(segments)
-    # (l s) mod N first keeps every phase as accurate as the N-th roots of unity
-    phases = np.exp(2j * math.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n)
-    bank = np.concatenate(segments) * np.repeat(phases, [seg.size for seg in segments], axis=1)
-    if bank.shape[1] > rx.shape[1]:
-        raise ValueError("replica must not be longer than rx")
-    sp = np.empty((rx.shape[0], n, rx.shape[1] - bank.shape[1] + 1))
-    # each pulse-Doppler row's magnitudes straight from the inverse-FFT buffer,
-    # so the complex (pulse, segment, range) cube is never held
-    for row, block in zip(sp, _correlations(np.fft.fft(rx, axis=0), bank)):
-        np.abs(block, out=row)
+    rx, bank = _filter_bank(rx_per_pulse, subpulse_replicas, channel)
+    sp = np.empty(_map_shape(rx, bank))
+    for _ in _map_rows(np.fft.fft(rx, axis=0), bank, out=sp):
+        pass
     return DopplerMap(channel=channel, pp=sp[:, 0, :], sp=sp)
 
 
@@ -364,20 +399,35 @@ def _check_channel_set(channels: Sequence[PrfChannel], spacing_tolerance_hz: flo
         raise ValueError(f"channels disagree on subpulse count: {sorted(subpulse_counts)}")
 
 
-def _pick_peaks(dmap: DopplerMap) -> ChannelDetection:
-    """One channel's pulse-map peak, its ratio to the map median, and the
-    segment-map peak's subpulse-Doppler bin (the channel's coarse vote)."""
-    pp = dmap.pp
+def _pick_peaks(rows, shape) -> ChannelDetection:
+    """One channel's peaks from its segment map of `shape` (M, N, R), read
+    one (N, R) pulse-Doppler row at a time: the pulse-map peak (row[0] is
+    the pulse map's row), its ratio to the pulse-map median, and the
+    segment-map peak's subpulse-Doppler bin (the channel's coarse vote).
+
+    Each row is read before the next is asked for, so the rows may share
+    one buffer. Both peaks are np.argmax's first occurrence over the whole
+    map: the segment-map peak is the first row whose maximum is the largest,
+    at that row's first maximum.
+    """
+    num_rows, _, num_ranges = shape
+    pp = np.empty((num_rows, num_ranges))
+    row_peaks = np.empty(num_rows)
+    row_coarse = np.empty(num_rows, dtype=np.intp)
+    for k, row in enumerate(rows):
+        pp[k] = row[0]
+        flat = int(np.argmax(row))
+        row_peaks[k] = row.flat[flat]
+        row_coarse[k] = flat // num_ranges
     k_bin, r_bin = np.unravel_index(int(np.argmax(pp)), pp.shape)
-    median = float(np.median(pp))
     peak = float(pp[k_bin, r_bin])
+    median = float(np.median(pp, overwrite_input=True))
     # a median under one ulp of the peak is round-off of the FFT
     # correlation over an empty (noiseless) map, not a noise floor
     ratio = peak / median if median > peak * np.finfo(float).eps else math.inf
-    _, l_bin, _ = np.unravel_index(int(np.argmax(dmap.sp)), dmap.sp.shape)
     return ChannelDetection(
         apparent_bin=int(k_bin),
-        coarse_bin=int(l_bin),
+        coarse_bin=int(row_coarse[int(np.argmax(row_peaks))]),
         peak_range_bin=int(r_bin),
         peak_ratio=ratio,
         detected=ratio >= DETECTION_THRESHOLD,
@@ -441,7 +491,8 @@ def detect_and_unfold(
     """
     channels = [m.channel for m in maps]
     _check_channel_set(channels, spacing_tolerance_hz)
-    return _fuse([_pick_peaks(m) for m in maps], channels, setup, spacing_tolerance_hz)
+    detections = [_pick_peaks(m.sp, m.sp.shape) for m in maps]
+    return _fuse(detections, channels, setup, spacing_tolerance_hz)
 
 
 def simulate_channel(
@@ -468,19 +519,27 @@ def _simulate_and_detect(
     """run_pipeline's report, and the lists `export(index, maps)` returned,
     joined in channel order ([] without `export`).
 
-    The channel set is checked first. Each channel's thread then carries it
-    from echo to maps, hands the maps to `export`, and keeps only its
-    peaks, so no channel's maps outlive its thread.
+    The channel set is checked first. Without `export`, each channel's
+    thread feeds its segment map's rows to the peak picker as they are
+    made, all in one buffer, so no map is held whole. With `export`, the
+    thread makes the maps whole (the files need the whole grid), hands them
+    to `export` and picks the same peaks from them. Either way only the
+    peaks are kept, so no channel's maps outlive its thread.
     """
     _check_channel_set(setup.channels, spacing_tolerance_hz)
 
     def channel_peaks(index: int) -> tuple[ChannelDetection, list]:
+        channel = setup.channels[index]
         rng = RngStream(seed, stream_id=index) if seed is not None else None
-        dmap = simulate_channel(
-            setup, setup.channels[index], truth, rng=rng, noise_sigma=noise_sigma
-        )
-        exported = export(index, dmap) if export is not None else []
-        return _pick_peaks(dmap), exported
+        if export is not None:
+            dmap = simulate_channel(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
+            return _pick_peaks(dmap.sp, dmap.sp.shape), export(index, dmap)
+        rx = synth_echo(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
+        segments = split_subpulses(make_lfm(setup), channel.num_subpulses)
+        rx, bank = _filter_bank(rx, segments, channel)
+        # the windows are this thread's own, so their pulse DFT overwrites them
+        rows = _map_rows(np.fft.fft(rx, axis=0, out=rx), bank)
+        return _pick_peaks(rows, _map_shape(rx, bank)), []
 
     results = _thread_map(channel_peaks, len(setup.channels))
     report = _fuse(
@@ -500,7 +559,8 @@ def run_pipeline(
 
     Channel i draws from RngStream(seed, stream_id=i), so the channels run
     side by side on threads and the report does not depend on the schedule.
-    Each thread picks its own channel's peaks, and only the peaks are kept.
+    Each thread picks its own channel's peaks row by row as the segment map
+    is made, so no channel's map is held whole; only the peaks are kept.
     """
     return _simulate_and_detect(setup, truth, seed, noise_sigma, spacing_tolerance_hz)[0]
 

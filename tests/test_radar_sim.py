@@ -10,6 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subpulse import numerics, radar_sim
 from subpulse.numerics import matched_filter
@@ -146,6 +149,21 @@ class TestEcho:
         fitted_scale = math.sqrt(float(np.mean(mags ** 2)) / 2.0)
         # compressed noise per-component deviation: noise_sigma * sqrt(E/2)
         assert fitted_scale == pytest.approx(0.7 * math.sqrt(200.0 / 2.0), rel=0.02)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.0])
+    def test_noise_keeps_the_bits_of_a_real_then_an_imaginary_grid(self, setup, amplitude):
+        # the echo occupies 200 of the 7273 samples of a window; the rest,
+        # and with amplitude 0 all of it, starts at exactly zero
+        channel = setup.channels[0]
+        truth = TargetTruth(range_m=10e3, radial_velocity_mps=-900.0, amplitude=amplitude)
+        want = synth_echo(setup, channel, truth)
+        assert np.count_nonzero(want == 0) >= want.size - 200 * channel.num_pulses
+        g = RngStream(9, 2).generator
+        scale = 0.3 / math.sqrt(2.0)
+        want += g.normal(0.0, scale, want.shape)
+        want += 1j * g.normal(0.0, scale, want.shape)
+        got = synth_echo(setup, channel, truth, rng=RngStream(9, 2), noise_sigma=0.3)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_echo_beyond_the_receive_window_rejected(self, setup):
         too_far = TargetTruth(range_m=140e3, radial_velocity_mps=0.0)
@@ -332,6 +350,24 @@ class TestMaps:
         assert channel.num_pulses == 11
         assert peak < 2.5 * dmap.sp.nbytes
 
+    def test_a_plain_run_never_holds_the_segment_map(self, setup):
+        # a run that exports nothing picks its peaks row by row
+        single = RadarSetup.build(
+            carrier_hz=6e9, pulse_width_s=25e-6, bandwidth_hz=2e6, channels=setup.channels[:1]
+        )
+        truth = TargetTruth(10e3, -900.0)
+        sp_bytes = simulate_channel(single, single.channels[0], truth).sp.nbytes
+        # a first run keeps first-call allocations out of the count
+        run_pipeline(single, truth, seed=3, noise_sigma=0.05)
+        tracemalloc.start()
+        try:
+            run_pipeline(single, truth, seed=3, noise_sigma=0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert single.channels[0].num_pulses == 11 and sp_bytes == 11 * 8 * 7074 * 8
+        assert peak < sp_bytes
+
     def test_windows_must_match_the_channel(self, setup):
         channel = setup.channels[0]
         segments = split_subpulses(make_lfm(setup), 8)
@@ -424,18 +460,21 @@ class TestDetection:
         ]
         seen = {}
 
-        def recording_simulate(setup, channel, *args, **kwargs):
-            # each channel's thread makes its maps here and writes its own key
-            seen[channel] = simulate_channel(setup, channel, *args, **kwargs)
-            return seen[channel]
+        def record(index, dmap):
+            # each channel's thread hands over its maps here and writes its own key
+            seen[index] = dmap
+            return []
 
         monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(radar_sim, "simulate_channel", recording_simulate)
+        # a plain run picks its peaks row by row and makes no maps; a run
+        # that exports them makes each channel's maps whole
         report = run_pipeline(setup, truth, seed=7, noise_sigma=0.5)
-        assert report == detect_and_unfold(serial, setup)
-        assert set(seen) == set(setup.channels)
-        for want in serial:
-            got = seen[want.channel]
+        exported, _ = radar_sim._simulate_and_detect(setup, truth, 7, 0.5, 0.0, export=record)
+        assert report == exported == detect_and_unfold(serial, setup)
+        assert set(seen) == set(range(len(serial)))
+        for index, want in enumerate(serial):
+            got = seen[index]
+            assert got.channel == want.channel
             np.testing.assert_array_equal(got.sp, want.sp)
             np.testing.assert_array_equal(got.pp, want.pp)
 
@@ -462,6 +501,49 @@ class TestDetection:
         # fastest case: clear strict advantage for the segment path
         pp_900, sp_900 = peaks[900.0]
         assert sp_900 / pp_900 > 1.02
+
+    @staticmethod
+    def whole_map_peaks(sp):
+        """The peak pick over the whole stacked map: np.argmax over the
+        pulse map sp[:, 0, :] and over sp, and the pulse map's median."""
+        pp = sp[:, 0, :]
+        k_bin, r_bin = np.unravel_index(int(np.argmax(pp)), pp.shape)
+        median = float(np.median(pp))
+        peak = float(pp[k_bin, r_bin])
+        ratio = peak / median if median > peak * np.finfo(float).eps else math.inf
+        _, l_bin, _ = np.unravel_index(int(np.argmax(sp)), sp.shape)
+        return radar_sim.ChannelDetection(
+            apparent_bin=int(k_bin),
+            coarse_bin=int(l_bin),
+            peak_range_bin=int(r_bin),
+            peak_ratio=ratio,
+            detected=ratio >= radar_sim.DETECTION_THRESHOLD,
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=3, max_dims=3, max_side=5),
+        # few distinct values, so ties across rows are the rule
+        elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf]),
+    ))
+    @example(np.zeros((3, 2, 4)))
+    @example(np.full((2, 3, 2), math.inf))
+    @example(np.array([[[1.0, 3.0]], [[3.0, math.inf]], [[math.inf, 2.0]]]))
+    def test_row_by_row_pick_matches_the_whole_map_pick(self, sp):
+        def one_buffer(rows):
+            # the rows as _map_rows yields them without a map: one buffer,
+            # overwritten by the next row
+            buffer = np.empty(rows.shape[1:])
+            for row in rows:
+                buffer[...] = row
+                yield buffer
+
+        want = self.whole_map_peaks(sp)
+        assert radar_sim._pick_peaks(sp, sp.shape) == want
+        assert radar_sim._pick_peaks(one_buffer(sp), sp.shape) == want
+        if not sp.any():
+            assert math.isinf(want.peak_ratio)
 
     def test_empty_map_list_rejected(self, setup):
         with pytest.raises(ValueError):
@@ -495,6 +577,9 @@ class TestDetection:
         def refuse(*args, **kwargs):
             raise AssertionError("a channel was simulated before the check")
 
+        # every channel starts at synth_echo; one that exports goes through
+        # simulate_channel
+        monkeypatch.setattr(radar_sim, "synth_echo", refuse)
         monkeypatch.setattr(radar_sim, "simulate_channel", refuse)
         with pytest.raises(ValueError, match=r"channels disagree on subpulse count: \[4, 8\]"):
             run_pipeline(mixed, TargetTruth(10e3, -900.0))
