@@ -197,7 +197,8 @@ def _search(
     deltas = np.array(list(itertools.product((0, -1, 1) if shifts else (0,), repeat=len(moduli))))
     bins = ccrt_solve(moduli, (measured + deltas) % np.array(moduli)).tolist()
     span = math.prod(moduli) * spacing
-    fmax = span / 2.0 if fmax_hz is None else _finite(float(fmax_hz), "fmax_hz")
+    fmax = span / 2.0 if fmax_hz is None else _finite(float(fmax_hz), "fmax_hz", "non-negative")
+    coarse_hz = _finite(float(coarse_hz), "coarse_hz")
     edges = (fmax, -fmax) if abs(coarse_hz) == fmax else (coarse_hz,)
     candidates = []  # (shifted residues, coarse distance, frequency, bin)
     for shifted, b in zip(np.count_nonzero(deltas, axis=1).tolist(), bins):
@@ -211,9 +212,9 @@ def _search(
     shifted, distance, best, b = min(candidates, key=lambda c: (c[0], c[1], -c[2]))
     near = 1e-9 * max(1.0, abs(best))
     ties = sum(c[0] == shifted and abs(c[1] - distance) <= near for c in candidates)
-    velocity = doppler_to_velocity(best, wavelength_m) if wavelength_m else math.nan
+    velocity = math.nan if wavelength_m is None else doppler_to_velocity(best, wavelength_m)
     return UnfoldResult(bin=b, doppler_hz=best, velocity_mps=velocity,
-                        sign_resolved=ties == 1, coarse_hz=float(coarse_hz))
+                        sign_resolved=ties == 1, coarse_hz=coarse_hz)
 
 
 def unfold(

@@ -16,12 +16,12 @@ against the bank and reduced to |.| at once, so the complex (pulse,
 segment, range) cube is never held.
 
 run_pipeline, and the CLI's simulate through the same private helper,
-carries each channel on its own thread from echo to peaks. A run that
-exports nothing hands each row to the peak picker as it is made, in one
-reused buffer, so the segment map is never held whole; the picker keeps
-only the pulse map, each row's zero-segment slice. A run that exports maps
-makes each channel's maps whole with doppler_maps, writes them, and picks
-the same peaks from them. Only the peaks come back to be fused, so no
+carries each channel on its own thread from echo to peaks by one route,
+handing each segment-map row to the peak picker as it is made; the picker
+keeps only the pulse map, each row's zero-segment slice. A run that exports
+nothing makes every row in one reused buffer, so the map is never held
+whole; a run that exports maps makes the rows in a whole map and writes it
+once the peaks are picked. Only the peaks come back to be fused, so no
 channel's maps outlive its thread.
 
 Intra-pulse Doppler is modelled as a phase that advances once per subpulse
@@ -32,6 +32,7 @@ deliberate).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -175,16 +176,18 @@ class Datacube:
 class DopplerMap:
     """Magnitude maps of one channel.
 
-    pp: [pulse-doppler bin, range bin], the full-replica map, sp[:, 0, :]
-        (sp's zero subpulse-doppler slice). The peak picker reads the
-        pulse map from sp alone, so a map built by hand must keep it so.
     sp: [pulse-doppler bin, subpulse-doppler bin, range bin], the 2-D DFT
         of the per-segment compression.
+    pp: [pulse-doppler bin, range bin], the full-replica map: the view
+        sp[:, 0, :], sp's zero subpulse-doppler slice.
     """
 
     channel: PrfChannel
-    pp: np.ndarray
     sp: np.ndarray
+
+    @property
+    def pp(self) -> np.ndarray:
+        return self.sp[:, 0, :]
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,14 @@ class ChannelDetection:
 class DetectionReport:
     channels: tuple
     fused: UnfoldResult | None
-    velocity_mps: float
-    detected: bool
+
+    @property
+    def detected(self) -> bool:
+        return self.fused is not None
+
+    @property
+    def velocity_mps(self) -> float:
+        return math.nan if self.fused is None else self.fused.velocity_mps
 
 
 def make_lfm(setup: RadarSetup) -> np.ndarray:
@@ -315,8 +324,9 @@ def build_datacube(profiles, channel: PrfChannel) -> Datacube:
 
 
 def _filter_bank(rx_per_pulse, subpulse_replicas, channel: PrfChannel):
-    """doppler_maps' checked receive windows and its subpulse-Doppler filter
-    bank, (N, replica length), row l the segments rotated by l s / N turns."""
+    """doppler_maps' checked receive windows, its subpulse-Doppler filter
+    bank, (N, replica length), row l the segments rotated by l s / N turns,
+    and the segment map's (pulse-Doppler, subpulse-Doppler, range) shape."""
     segments = [np.asarray(seg) for seg in subpulse_replicas]
     if not segments or min(seg.size for seg in segments) == 0:
         raise ValueError("every subpulse replica must be non-empty")
@@ -334,25 +344,19 @@ def _filter_bank(rx_per_pulse, subpulse_replicas, channel: PrfChannel):
     bank = np.concatenate(segments) * np.repeat(phases, [seg.size for seg in segments], axis=1)
     if bank.shape[1] > rx.shape[1]:
         raise ValueError("replica must not be longer than rx")
-    return rx, bank
+    return rx, bank, (rx.shape[0], n, rx.shape[1] - bank.shape[1] + 1)
 
 
-def _map_shape(rx, bank) -> tuple:
-    """The segment map's (pulse-Doppler, subpulse-Doppler, range) shape."""
-    return (rx.shape[0], bank.shape[0], rx.shape[1] - bank.shape[1] + 1)
-
-
-def _map_rows(spectra, bank, out=None):
+def _map_rows(spectra, bank, out):
     """Each pulse-Doppler row's (N, R) segment-map magnitudes, in row order,
     from the pulse-axis DFT of the receive windows and the filter bank.
 
-    The rows are written into out[k] when `out` (the whole map) is given,
-    else into one buffer that the next row overwrites. Each row is reduced
-    to |.| straight from the inverse-FFT buffer, so the complex (pulse,
-    segment, range) cube is never held.
+    Row k is written into the k-th buffer `out` yields: a whole map's rows,
+    or one buffer repeated, which the next row overwrites. Each row is
+    reduced to |.| straight from the inverse-FFT buffer, so the complex
+    (pulse, segment, range) cube is never held.
     """
-    rows = out if out is not None else itertools.repeat(np.empty(_map_shape(spectra, bank)[1:]))
-    for row, block in zip(rows, _correlations(spectra, bank)):
+    for row, block in zip(out, _correlations(spectra, bank)):
         np.abs(block, out=row)
         yield row
 
@@ -375,11 +379,11 @@ def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> Dopple
     and no per-range transform is left. Each pulse-Doppler row is reduced to
     magnitudes as soon as it is correlated.
     """
-    rx, bank = _filter_bank(rx_per_pulse, subpulse_replicas, channel)
-    sp = np.empty(_map_shape(rx, bank))
+    rx, bank, shape = _filter_bank(rx_per_pulse, subpulse_replicas, channel)
+    sp = np.empty(shape)
     for _ in _map_rows(np.fft.fft(rx, axis=0), bank, out=sp):
         pass
-    return DopplerMap(channel=channel, pp=sp[:, 0, :], sp=sp)
+    return DopplerMap(channel=channel, sp=sp)
 
 
 def _coarse_bin_to_hz(l_bin: int, num_subpulses: int, pulse_width_s: float) -> float:
@@ -442,30 +446,23 @@ def _fuse(
 ) -> DetectionReport:
     """Unfold the channels' peaks into one velocity, for a checked channel set."""
     detections = tuple(detections)
-    if not all(d.detected for d in detections):
-        return DetectionReport(channels=detections, fused=None, velocity_mps=math.nan, detected=False)
-    num_subpulses = channels[0].num_subpulses
-    fmax = num_subpulses / (2.0 * setup.pulse_width_s)
-    coarse = float(np.median([
-        _coarse_bin_to_hz(d.coarse_bin, num_subpulses, setup.pulse_width_s) for d in detections
-    ]))
-    unfolder = unfold_tolerant if spacing_tolerance_hz > 0 else unfold
-    try:
-        fused = unfolder(
-            residues=[d.apparent_bin for d in detections],
-            channels=channels,
-            coarse_hz=coarse,
-            fmax_hz=fmax,
-            wavelength_m=setup.wavelength_m,
-        )
-    except OutOfWindowError:
-        return DetectionReport(channels=detections, fused=None, velocity_mps=math.nan, detected=False)
-    return DetectionReport(
-        channels=detections,
-        fused=fused,
-        velocity_mps=fused.velocity_mps,
-        detected=True,
-    )
+    fused = None
+    if all(d.detected for d in detections):
+        num_subpulses = channels[0].num_subpulses
+        coarse = float(np.median([
+            _coarse_bin_to_hz(d.coarse_bin, num_subpulses, setup.pulse_width_s) for d in detections
+        ]))
+        unfolder = unfold_tolerant if spacing_tolerance_hz > 0 else unfold
+        # a residue set with no lattice point in the window detects nothing
+        with contextlib.suppress(OutOfWindowError):
+            fused = unfolder(
+                residues=[d.apparent_bin for d in detections],
+                channels=channels,
+                coarse_hz=coarse,
+                fmax_hz=num_subpulses / (2.0 * setup.pulse_width_s),
+                wavelength_m=setup.wavelength_m,
+            )
+    return DetectionReport(channels=detections, fused=fused)
 
 
 def detect_and_unfold(
@@ -519,27 +516,27 @@ def _simulate_and_detect(
     """run_pipeline's report, and the lists `export(index, maps)` returned,
     joined in channel order ([] without `export`).
 
-    The channel set is checked first. Without `export`, each channel's
-    thread feeds its segment map's rows to the peak picker as they are
-    made, all in one buffer, so no map is held whole. With `export`, the
-    thread makes the maps whole (the files need the whole grid), hands them
-    to `export` and picks the same peaks from them. Either way only the
-    peaks are kept, so no channel's maps outlive its thread.
+    The channel set is checked first. Every channel's thread then takes one
+    route: synth_echo, the filter bank, the pulse DFT in place, and
+    _map_rows, whose rows the peak picker reads as they are made. Without
+    `export` the rows share one buffer, so no map is held whole; with it
+    they fill a whole segment map (the files need the whole grid), which
+    goes to `export` once the peaks are picked. Either way only the peaks
+    are kept, so no channel's maps outlive its thread.
     """
     _check_channel_set(setup.channels, spacing_tolerance_hz)
 
     def channel_peaks(index: int) -> tuple[ChannelDetection, list]:
         channel = setup.channels[index]
         rng = RngStream(seed, stream_id=index) if seed is not None else None
-        if export is not None:
-            dmap = simulate_channel(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
-            return _pick_peaks(dmap.sp, dmap.sp.shape), export(index, dmap)
         rx = synth_echo(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
         segments = split_subpulses(make_lfm(setup), channel.num_subpulses)
-        rx, bank = _filter_bank(rx, segments, channel)
+        rx, bank, shape = _filter_bank(rx, segments, channel)
+        sp = np.empty(shape) if export is not None else None
+        rows = sp if sp is not None else itertools.repeat(np.empty(shape[1:]))
         # the windows are this thread's own, so their pulse DFT overwrites them
-        rows = _map_rows(np.fft.fft(rx, axis=0, out=rx), bank)
-        return _pick_peaks(rows, _map_shape(rx, bank)), []
+        detection = _pick_peaks(_map_rows(np.fft.fft(rx, axis=0, out=rx), bank, out=rows), shape)
+        return detection, [] if sp is None else export(index, DopplerMap(channel=channel, sp=sp))
 
     results = _thread_map(channel_peaks, len(setup.channels))
     report = _fuse(
@@ -560,7 +557,8 @@ def run_pipeline(
     Channel i draws from RngStream(seed, stream_id=i), so the channels run
     side by side on threads and the report does not depend on the schedule.
     Each thread picks its own channel's peaks row by row as the segment map
-    is made, so no channel's map is held whole; only the peaks are kept.
+    is made, in one reused buffer and without simulate_channel or
+    doppler_maps, so no map is held whole; only the peaks are kept.
     """
     return _simulate_and_detect(setup, truth, seed, noise_sigma, spacing_tolerance_hz)[0]
 

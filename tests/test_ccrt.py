@@ -157,6 +157,26 @@ class TestBinMaps:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             call(value)
 
+    @pytest.mark.parametrize("unfolder", [unfold, unfold_tolerant])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"coarse_hz": math.nan, "fmax_hz": THETA * 100.0}, "coarse_hz must be finite"),
+        ({"coarse_hz": math.nan}, "coarse_hz must be finite"),
+        ({"coarse_hz": math.inf}, "coarse_hz must be finite"),
+        ({"coarse_hz": -math.inf}, "coarse_hz must be finite"),
+        ({"fmax_hz": -10.0}, "fmax_hz must be finite and non-negative"),
+        ({"wavelength_m": 0.0}, "wavelength must be finite and positive"),
+        ({"wavelength_m": -0.05}, "wavelength must be finite and positive"),
+    ], ids=["nan-coarse-full-window", "nan-coarse", "inf-coarse", "minus-inf-coarse",
+            "negative-fmax", "zero-wavelength", "negative-wavelength"])
+    def test_a_bad_coarse_estimate_window_or_wavelength_is_refused_by_name(
+        self, unfolder, kwargs, match
+    ):
+        # a 3600 Hz target on the reference channels; each bad value used to
+        # give a wrong answer, a garbled message or a NaN velocity
+        call = {"coarse_hz": 3600.0, "wavelength_m": 0.05, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            unfolder([36 % m for m in MODULI], reference_channels(), **call)
+
     def test_common_bin_spacing(self):
         assert common_bin_spacing(reference_channels()) == pytest.approx(100.0, rel=1e-12)
         skewed = [

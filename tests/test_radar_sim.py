@@ -465,9 +465,14 @@ class TestDetection:
             seen[index] = dmap
             return []
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline left its one route")
+
         monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
-        # a plain run picks its peaks row by row and makes no maps; a run
-        # that exports them makes each channel's maps whole
+        # a plain run and an exporting run take the same route from echo to
+        # peaks; only the exporting one fills a whole map on the way
+        monkeypatch.setattr(radar_sim, "simulate_channel", refuse)
+        monkeypatch.setattr(radar_sim, "doppler_maps", refuse)
         report = run_pipeline(setup, truth, seed=7, noise_sigma=0.5)
         exported, _ = radar_sim._simulate_and_detect(setup, truth, 7, 0.5, 0.0, export=record)
         assert report == exported == detect_and_unfold(serial, setup)
@@ -577,8 +582,8 @@ class TestDetection:
         def refuse(*args, **kwargs):
             raise AssertionError("a channel was simulated before the check")
 
-        # every channel starts at synth_echo; one that exports goes through
-        # simulate_channel
+        # every channel starts at synth_echo, exporting or not; simulate_channel
+        # is refused too, should a channel ever be simulated through it again
         monkeypatch.setattr(radar_sim, "synth_echo", refuse)
         monkeypatch.setattr(radar_sim, "simulate_channel", refuse)
         with pytest.raises(ValueError, match=r"channels disagree on subpulse count: \[4, 8\]"):
@@ -589,7 +594,6 @@ class TestDetection:
         maps = [
             radar_sim.DopplerMap(
                 channel=PrfChannel(prf=100.0 * m, num_pulses=m, num_subpulses=n),
-                pp=np.ones((m, 5)),
                 sp=np.ones((m, n, 5)),
             )
             for m, n in ((11, 8), (13, 4))
@@ -597,6 +601,30 @@ class TestDetection:
         with pytest.raises(ValueError, match=r"channels disagree on subpulse count: \[4, 8\]"):
             detect_and_unfold(maps, setup)
         assert not detect_and_unfold(maps[:1], setup).detected
+
+    def test_the_pulse_map_is_a_view_of_the_segment_map(self, setup):
+        dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -900.0))
+        assert np.shares_memory(dmap.pp, dmap.sp)
+        np.testing.assert_array_equal(dmap.pp, dmap.sp[:, 0, :])
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda ch, sp: radar_sim.DopplerMap(channel=ch, sp=sp, pp=sp[:, 0, :]), "pp"),
+        (lambda ch, sp: radar_sim.DetectionReport(channels=(), fused=None, velocity_mps=0.0),
+         "velocity_mps"),
+        (lambda ch, sp: radar_sim.DetectionReport(channels=(), fused=None, detected=True),
+         "detected"),
+    ], ids=["DopplerMap-pp", "DetectionReport-velocity_mps", "DetectionReport-detected"])
+    def test_the_derived_fields_are_refused(self, setup, build, field):
+        # each follows from what the record holds; a caller still passing
+        # one must hear so rather than have it disagree with its source
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            build(setup.channels[0], np.ones((11, 8, 5)))
+
+    def test_a_report_derives_detection_and_velocity_from_its_unfolding(self, setup):
+        report = run_pipeline(setup, TargetTruth(range_m=10e3, radial_velocity_mps=-900.0))
+        assert report.detected and report.velocity_mps == report.fused.velocity_mps
+        empty = radar_sim.DetectionReport(channels=report.channels, fused=None)
+        assert not empty.detected and math.isnan(empty.velocity_mps)
 
 
 class TestExport:
