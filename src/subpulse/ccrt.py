@@ -107,6 +107,7 @@ def ccrt_solve(moduli: Sequence[int], residues):
     basis = _basis(moduli)
     r = np.asarray(residues)
     if r.dtype.kind not in "iu":
+        r = np.asarray(residues, dtype=object)  # a mixed list keeps its own values
         r = np.array(
             [_integral(x, "residue") for x in r.ravel().tolist()], dtype=object
         ).reshape(r.shape)
@@ -171,47 +172,45 @@ def _search(
     residues: Sequence[int],
     channels: Sequence[PrfChannel],
     spacing: float,
-    shifts: bool,
+    corrections: bool,
     coarse_hz: float,
     fmax_hz: float | None,
     wavelength_m: float | None,
 ) -> UnfoldResult:
     """The best lattice frequency (b + q*Theta) * spacing with |f| <= fmax_hz.
 
-    Bins b solve the measured residues and, with `shifts`, every set with
-    residues moved by +-1 (3^L rows, one solve). Candidates rank by shifted
-    residues, then distance to the coarse estimate, then higher frequency;
-    a coarse estimate at exactly +-fmax_hz (the segment axis's Nyquist bin,
-    whose sign is unknown) is scored against both edges. fmax_hz defaults to
-    half the span Theta*spacing; a tie in the first two keys is not
-    sign-resolved.
+    b solves the measured residues; with `corrections` the 2L bins
+    (b +- beta_i) mod Theta, the solves with one residue a bin off, join it.
+    Candidates rank by corrected residues, then distance to the coarse
+    estimate, then higher frequency; a coarse estimate at exactly +-fmax_hz
+    (the segment axis's Nyquist bin, whose sign is unknown) is scored against
+    both edges. fmax_hz defaults to half the span Theta*spacing; a tie in the
+    first two keys is not sign-resolved.
     """
     if len(residues) != len(channels):
         raise ValueError("one residue per channel required")
     moduli = tuple(ch.num_pulses for ch in channels)
-    _check_moduli(moduli)  # before the residues, in ccrt_solve's order
-    measured = np.array([_integral(r, "residue") for r in residues])
-    # checked before a shift wraps every residue into range
-    if np.any(measured < 0) or np.any(measured >= np.array(moduli)):
-        raise ValueError(f"residues out of range for moduli {moduli}")
-    deltas = np.array(list(itertools.product((0, -1, 1) if shifts else (0,), repeat=len(moduli))))
-    bins = ccrt_solve(moduli, (measured + deltas) % np.array(moduli)).tolist()
-    span = math.prod(moduli) * spacing
+    measured = ccrt_solve(moduli, residues)
+    theta = math.prod(moduli)
+    bins = [(0, measured)]
+    if corrections:
+        bins += [(1, (measured + s * beta) % theta) for beta in _basis(moduli) for s in (-1, 1)]
+    span = theta * spacing
     fmax = span / 2.0 if fmax_hz is None else _finite(float(fmax_hz), "fmax_hz", "non-negative")
     coarse_hz = _finite(float(coarse_hz), "coarse_hz")
     edges = (fmax, -fmax) if abs(coarse_hz) == fmax else (coarse_hz,)
-    candidates = []  # (shifted residues, coarse distance, frequency, bin)
-    for shifted, b in zip(np.count_nonzero(deltas, axis=1).tolist(), bins):
+    candidates = []  # (corrected residues, coarse distance, frequency, bin)
+    for corrected, b in bins:
         base = b * spacing
         for q in range(math.ceil((-fmax - base) / span), math.floor((fmax - base) / span) + 1):
             f = base + q * span
-            candidates.append((shifted, min(abs(f - e) for e in edges), f, b))
+            candidates.append((corrected, min(abs(f - e) for e in edges), f, b))
     if not candidates:
-        where = f"bin {bins[0]}" if len(bins) == 1 else "any residue shift"
+        where = f"bin {measured}" + (" or any one-residue correction" if corrections else "")
         raise OutOfWindowError(f"no unfolded frequency for {where} within +-{fmax} Hz")
-    shifted, distance, best, b = min(candidates, key=lambda c: (c[0], c[1], -c[2]))
+    corrected, distance, best, b = min(candidates, key=lambda c: (c[0], c[1], -c[2]))
     near = 1e-9 * max(1.0, abs(best))
-    ties = sum(c[0] == shifted and abs(c[1] - distance) <= near for c in candidates)
+    ties = sum(c[0] == corrected and abs(c[1] - distance) <= near for c in candidates)
     velocity = math.nan if wavelength_m is None else doppler_to_velocity(best, wavelength_m)
     return UnfoldResult(bin=b, doppler_hz=best, velocity_mps=velocity,
                         sign_resolved=ties == 1, coarse_hz=coarse_hz)
@@ -230,7 +229,7 @@ def unfold(
     the lattice frequency (b + q*Theta) * spacing (integer q, magnitude
     bounded by fmax_hz) closest to the coarse estimate. fmax_hz defaults to
     half the full unfolded span Theta*spacing/2. Velocity is reported when a
-    wavelength is supplied, else NaN. No residue is shifted, so a residue
+    wavelength is supplied, else NaN. No residue is corrected, so a residue
     set with no lattice point in the window (noise, mostly) raises
     OutOfWindowError.
     """
@@ -247,12 +246,12 @@ def unfold_tolerant(
 ) -> UnfoldResult:
     """Coincidence-mode unfold for imperfect residue measurements.
 
-    Channel spacings are averaged instead of required identical, and any
-    residue may be off by one bin: the fewest shifted residues win, then the
-    lattice point nearest the coarse estimate, so the measured residues win
-    whenever they unfold in the window. Use this only when the configuration
-    cannot guarantee one exact shared bin spacing; the exact :func:`unfold`
-    is the reference behavior.
+    Channel spacings are averaged instead of required identical, and one
+    residue may be off by one bin: the measured residues win whenever they
+    unfold in the window, else the one-residue correction nearest the coarse
+    estimate; a set two corrections from every window bin raises
+    OutOfWindowError. Use this only when the configuration cannot guarantee
+    one shared bin spacing; the exact :func:`unfold` is the reference.
     """
     if not channels:
         raise ValueError("channel list must be non-empty")

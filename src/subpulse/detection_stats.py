@@ -186,7 +186,15 @@ def _channel_kernel(stats: ChannelStats):
     )
 
 
-def _kernel_terms(stats: ChannelStats, kernel=None):
+def _layouts(points: list) -> tuple:
+    """Each channel layout (M, N, lambda1, lambda2) once, as its first point,
+    and each point's layout index, so the m-free parts are built once a layout."""
+    seen = {}
+    index = [seen.setdefault((s.M, s.N, s.lambda1, s.lambda2), (len(seen), s))[0] for s in points]
+    return [s for _, s in seen.values()], np.array(index)
+
+
+def _kernel_terms(stats: ChannelStats, kernel):
     """Signed terms t_kl of the alternating double sum, and their error weights.
 
     t_kl = (-1)^(k+l) C(M-1,k) C(N-1,l) / (q1 q2 P) * exp(-m (P-1)/P), with
@@ -195,9 +203,9 @@ def _kernel_terms(stats: ChannelStats, kernel=None):
     The weights are |t_kl| (A_kl + 2), where A_kl sums the magnitudes of the
     pieces of the term's log (the log-binomials, log q1, log q2, log P and
     m (P-1)/P, none negative); eps times their sum bounds the rounding of the
-    float64 sum. `kernel` is the channel's `_channel_kernel`, when at hand.
+    float64 sum. `kernel` is the channel's `_channel_kernel`.
     """
-    excess, p, log_p, log_scale, log_pieces, signs = kernel or _channel_kernel(stats)
+    excess, p, log_p, log_scale, log_pieces, signs = kernel
     shared = log_p + stats.m * excess / p
     magnitude = np.exp(log_scale - shared)
     return magnitude * signs, magnitude * (log_pieces + shared + 2.0)
@@ -222,14 +230,11 @@ def _certified_sum(stats: ChannelStats, terms, weights, what: str) -> float:
 
 
 def _closed_forms(points: list, block, what: str) -> list:
-    # the m-independent parts are built once per channel layout
-    kernels = {}
+    layouts, layout = _layouts(points)
+    kernels = [_channel_kernel(s) for s in layouts]
     values = []
-    for stats in points:
-        key = (stats.M, stats.N, stats.lambda1, stats.lambda2)
-        if key not in kernels:
-            kernels[key] = _channel_kernel(stats)
-        terms, weights = _kernel_terms(stats, kernels[key])
+    for stats, i in zip(points, layout):
+        terms, weights = _kernel_terms(stats, kernels[i])
         values.append(_certified_sum(stats, terms[block], weights[block], what))
     return values
 
@@ -300,16 +305,11 @@ def _oracles(points: list, lose: bool) -> tuple:
     The two win mixtures do not depend on m, so each channel layout builds
     them once and evaluates them once a round, over all of its nodes.
     """
-    layouts, mixtures, channel = {}, [], []
-    for s in points:
-        key = (s.M, s.N, s.lambda1, s.lambda2)
-        if key not in layouts:
-            layouts[key] = len(mixtures)
-            mixtures.append(
-                (_conditional_win(s.M - 1, s.lambda1), _conditional_win(s.N - 1, s.lambda2))
-            )
-        channel.append(layouts[key])
-    channel = np.array(channel)
+    layouts, channel = _layouts(points)
+    mixtures = [
+        (_conditional_win(s.M - 1, s.lambda1), _conditional_win(s.N - 1, s.lambda2))
+        for s in layouts
+    ]
     m = np.array([s.m for s in points])
 
     def integrand(t, which):

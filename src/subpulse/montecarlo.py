@@ -72,8 +72,6 @@ class McEstimate:
     pfa_hat: float
     stderr_pd: float
     stderr_pfa: float
-    trials: int
-    seed: int
 
 
 def _target_pair(rng: RngStream, stats: ChannelStats, n: int) -> np.ndarray:
@@ -174,6 +172,4 @@ def estimate(config: McConfig) -> McEstimate:
         pfa_hat=pfa_hat,
         stderr_pd=stderr_pd,
         stderr_pfa=stderr_pfa,
-        trials=config.trials,
-        seed=config.seed,
     )

@@ -196,7 +196,10 @@ class ChannelDetection:
     coarse_bin: int
     peak_range_bin: int
     peak_ratio: float  # pulse-map peak over map median
-    detected: bool
+
+    @property
+    def detected(self) -> bool:
+        return self.peak_ratio >= DETECTION_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -434,7 +437,6 @@ def _pick_peaks(rows, shape) -> ChannelDetection:
         coarse_bin=int(row_coarse[int(np.argmax(row_peaks))]),
         peak_range_bin=int(r_bin),
         peak_ratio=ratio,
-        detected=ratio >= DETECTION_THRESHOLD,
     )
 
 
@@ -479,12 +481,12 @@ def detect_and_unfold(
     segment-axis window, yields a no-detection report.
 
     A positive spacing_tolerance_hz switches to coincidence-mode unfolding
-    (mean bin spacing, fewest residues shifted by one bin) for channel sets
-    whose spacings differ by at most that much; exact congruence unfolding
-    (no shift) is the reference behavior and stays the default. A
-    ValueError, whatever the maps hold, when the channels' bin spacings do
-    not meet the tolerance, when the tolerance is negative or not finite, or
-    when the channels disagree on the subpulse count.
+    (mean bin spacing, at most one residue corrected by one bin) for channel
+    sets whose spacings differ by at most that much; exact congruence
+    unfolding (no correction) is the reference behavior and stays the
+    default. A ValueError, whatever the maps hold, when the channels' bin
+    spacings do not meet the tolerance, when the tolerance is negative or
+    not finite, or when the channels disagree on the subpulse count.
     """
     channels = [m.channel for m in maps]
     _check_channel_set(channels, spacing_tolerance_hz)

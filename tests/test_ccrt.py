@@ -1,6 +1,9 @@
 """Congruence solver tests: folding, modular arithmetic, velocity unfolding."""
 
+import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +27,31 @@ MODULI = (11, 13, 17, 19)
 THETA = 11 * 13 * 17 * 19  # 46189
 
 
-def reference_channels(num_subpulses=8):
+def reference_channels(num_subpulses=8, moduli=MODULI):
     # shared 100 Hz bin spacing, prf = 100 * M
-    return [PrfChannel(prf=100.0 * m, num_pulses=m, num_subpulses=num_subpulses) for m in MODULI]
+    return [PrfChannel(prf=100.0 * m, num_pulses=m, num_subpulses=num_subpulses) for m in moduli]
+
+
+def accepted_bins(moduli, fmax_hz, corrections, spacing=100.0):
+    """The bins b in [0, Theta) whose residues unfold within +-fmax_hz.
+
+    Exact mode accepts the window W of the 2*floor(fmax/spacing) + 1 bins
+    nearest zero. A residue one bin off in channel i moves the solved bin
+    by +-beta_i, the bin that is 1 modulo M_i and 0 modulo every other
+    modulus (found here by search), so one correction also accepts every
+    (W +- beta_i) mod Theta.
+    """
+    theta = math.prod(moduli)
+    half = math.floor(fmax_hz / spacing)
+    window = {b % theta for b in range(-half, half + 1)}
+    if not corrections:
+        return window
+    basis = [
+        next(b for b in range(theta) if all(b % n == (j == i) for j, n in enumerate(moduli)))
+        for i in range(len(moduli))
+    ]
+    moved = ({(w + s * beta) % theta for w in window} for beta in basis for s in (-1, 1))
+    return window.union(*moved)
 
 
 class TestModularInverse:
@@ -225,13 +250,16 @@ class TestUnfold:
             unfold([1, 2], reference_channels(), coarse_hz=0.0)
 
     @pytest.mark.parametrize("unfolder", [unfold, unfold_tolerant])
-    @pytest.mark.parametrize("residue", [1.7, math.nan, "1"])
+    @pytest.mark.parametrize("residue", [1.7, math.nan, "1", "x"])
     def test_non_integral_residue_is_refused_by_name(self, unfolder, residue):
         # truncating 1.7 would unfold the bin of [1, 2] (67 on moduli 11, 13)
         chans = reference_channels()[:2]
         assert unfolder([1, 2], chans, coarse_hz=6700.0).bin == 67
         with pytest.raises(ValueError, match="residue must be an integer"):
             unfolder([residue, 2], chans, coarse_hz=6700.0)
+        # the message names the value given, also after a good residue
+        with pytest.raises(ValueError, match=re.escape(f"an integer, got {residue!r}")):
+            unfolder([1, residue], chans, coarse_hz=6700.0)
 
     @pytest.mark.parametrize("unfolder", [unfold, unfold_tolerant])
     @pytest.mark.parametrize("residues", [[11, 2], [-3, 2], [1, 13]])
@@ -326,6 +354,75 @@ class TestUnfoldTolerant:
             return
         loose = unfold_tolerant(list(residues), chans, coarse_hz, fmax_hz=fmax_hz)
         assert (loose.bin, loose.doppler_hz) == (strict.bin, strict.doppler_hz)
+
+
+class TestWhatEachModeAccepts:
+    @staticmethod
+    def unfolded_bins(unfolder, moduli, fmax_hz):
+        chans = reference_channels(moduli=moduli)
+        bins = set()
+        for residues in itertools.product(*(range(m) for m in moduli)):
+            try:
+                unfolder(list(residues), chans, coarse_hz=0.0, fmax_hz=fmax_hz)
+            except OutOfWindowError:
+                continue
+            bins.add(ccrt_solve(moduli, residues))
+        return bins
+
+    @pytest.mark.parametrize("moduli, fmax_hz", [
+        ((3, 5, 7), 900.0), ((2, 3, 5, 7), 1050.0), ((4, 9, 5, 7), 2050.0),
+    ])
+    def test_every_residue_tuple_of_a_small_lattice(self, moduli, fmax_hz):
+        exact = accepted_bins(moduli, fmax_hz, corrections=False)
+        loose = accepted_bins(moduli, fmax_hz, corrections=True)
+        assert len(exact) == 2 * math.floor(fmax_hz / 100.0) + 1
+        assert exact < loose < set(range(math.prod(moduli)))
+        assert self.unfolded_bins(unfold, moduli, fmax_hz) == exact
+        assert self.unfolded_bins(unfold_tolerant, moduli, fmax_hz) == loose
+
+    @pytest.mark.parametrize("subpulses, counts", [
+        (4, (1601, 12195)), (8, (3201, 21855)), (16, (6401, 36339)), (32, (12801, THETA)),
+    ])
+    def test_the_readme_table_by_set_arithmetic_and_a_seeded_sample(self, subpulses, counts):
+        # README's acceptance table at fmax = N/(2 tau), tau = 25 us;
+        # enumerating all 46 189 tuples takes seconds, so the small
+        # lattices above carry the full enumeration
+        fmax_hz = subpulses / (2.0 * 25e-6)
+        exact = accepted_bins(MODULI, fmax_hz, corrections=False)
+        loose = accepted_bins(MODULI, fmax_hz, corrections=True)
+        assert (len(exact), len(loose)) == counts
+        chans = reference_channels(subpulses)
+        for b in np.random.default_rng(subpulses).integers(0, THETA, 150).tolist():
+            residues = [b % m for m in MODULI]
+            for unfolder, accepted in ((unfold, exact), (unfold_tolerant, loose)):
+                try:
+                    unfolder(residues, chans, coarse_hz=0.0, fmax_hz=fmax_hz)
+                    assert b in accepted
+                except OutOfWindowError:
+                    assert b not in accepted
+
+    def test_two_corrections_from_every_window_bin_are_refused(self):
+        # bin 36 with the first two channels each a bin off: no one-residue
+        # correction reaches a bin within +-160 kHz
+        residues = [4, 11, 2, 17]
+        assert ccrt_solve(MODULI, residues) not in accepted_bins(MODULI, 160e3, corrections=True)
+        with pytest.raises(OutOfWindowError, match="or any one-residue correction within"):
+            unfold_tolerant(residues, reference_channels(), coarse_hz=3600.0, fmax_hz=160e3)
+
+    def test_twelve_channels_unfold_in_little_memory(self):
+        # 1 + 2L = 25 candidate bins: the work grows linearly with L
+        primes = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+        chans = reference_channels(moduli=primes)
+        residues = [36 % m for m in primes]
+        residues[0] = 4  # one channel a bin off
+        tracemalloc.start()
+        try:
+            res = unfold_tolerant(residues, chans, coarse_hz=3600.0, fmax_hz=160e3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.bin == 36 and res.doppler_hz == pytest.approx(3600.0) and res.sign_resolved
+        assert peak < 1 << 20
 
 
 class TestChannelValidation:

@@ -28,7 +28,7 @@ from subpulse import (
     pfa_closed_form,
     pfa_oracle,
 )
-from subpulse.detection_stats import _kernel_terms
+from subpulse.detection_stats import _channel_kernel, _kernel_terms
 
 REFERENCE_PULSES = (7, 11, 13, 17)
 
@@ -240,7 +240,7 @@ class TestKernelPrecision:
                 for subpulses in (2, 8, 32):
                     for snr_db in (-5.0, 5.0, 15.0):
                         s = from_snr(snr_db, lambda1, lambda2, pulses, subpulses)
-                        terms, weights = _kernel_terms(s)
+                        terms, weights = _kernel_terms(s, _channel_kernel(s))
                         for block, exact in zip((np.s_[:, :], np.s_[1:, 1:]), decimal_sums(s)):
                             value = math.fsum(terms[block].ravel().tolist())
                             bound = eps * math.fsum(weights[block].ravel().tolist())

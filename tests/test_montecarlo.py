@@ -11,6 +11,7 @@ from subpulse import montecarlo, numerics
 from subpulse import (
     ChannelStats,
     McConfig,
+    McEstimate,
     RngStream,
     estimate,
     from_snr,
@@ -252,3 +253,10 @@ class TestEstimate:
     def test_non_integral_count_is_refused_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             McConfig(stats=reference_stats(), seed=1, **{field: value})
+
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_an_estimate_does_not_echo_its_config(self, field):
+        # trials and seed are the caller's McConfig; an estimate holds only
+        # what the run measured
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            McEstimate(pd_hat=0.5, pfa_hat=0.1, stderr_pd=0.01, stderr_pfa=0.01, **{field: 1})

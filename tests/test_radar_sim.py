@@ -522,7 +522,6 @@ class TestDetection:
             coarse_bin=int(l_bin),
             peak_range_bin=int(r_bin),
             peak_ratio=ratio,
-            detected=ratio >= radar_sim.DETECTION_THRESHOLD,
         )
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -613,12 +612,26 @@ class TestDetection:
          "velocity_mps"),
         (lambda ch, sp: radar_sim.DetectionReport(channels=(), fused=None, detected=True),
          "detected"),
-    ], ids=["DopplerMap-pp", "DetectionReport-velocity_mps", "DetectionReport-detected"])
+        (lambda ch, sp: radar_sim.ChannelDetection(
+            apparent_bin=0, coarse_bin=0, peak_range_bin=0, peak_ratio=4.0, detected=True),
+         "detected"),
+    ], ids=["DopplerMap-pp", "DetectionReport-velocity_mps", "DetectionReport-detected",
+            "ChannelDetection-detected"])
     def test_the_derived_fields_are_refused(self, setup, build, field):
         # each follows from what the record holds; a caller still passing
         # one must hear so rather than have it disagree with its source
         with pytest.raises(TypeError, match=f"'{field}'"):
             build(setup.channels[0], np.ones((11, 8, 5)))
+
+    def test_a_channel_detects_from_its_peak_ratio_at_the_threshold(self):
+        def channel(ratio):
+            return radar_sim.ChannelDetection(
+                apparent_bin=0, coarse_bin=0, peak_range_bin=0, peak_ratio=ratio
+            )
+
+        threshold = radar_sim.DETECTION_THRESHOLD
+        assert channel(threshold).detected and channel(math.inf).detected
+        assert not channel(math.nextafter(threshold, 0.0)).detected
 
     def test_a_report_derives_detection_and_velocity_from_its_unfolding(self, setup):
         report = run_pipeline(setup, TargetTruth(range_m=10e3, radial_velocity_mps=-900.0))
