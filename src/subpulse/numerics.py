@@ -345,6 +345,24 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
+def _replica_spectra(replica, window_length: int) -> np.ndarray:
+    """The conjugated spectra of `replica` (its last axis) at the FFT length
+    that correlates it with windows of `window_length` samples, the smallest
+    11-smooth length >= window_length."""
+    spectra = np.fft.fft(replica, n=_next_fast_len(window_length))
+    return np.conj(spectra, out=spectra)
+
+
+def _correlate(window_spectrum, replica_spectra, out, out_len: int) -> np.ndarray:
+    """One window's correlation with every replica, from the window's
+    spectrum and the conjugated replica spectra: a view of its first
+    `out_len` lags into `out`, a buffer of the spectra's shape that holds
+    the inverse FFT. A window or a replica row gives the same bits alone as
+    in a stack."""
+    np.multiply(window_spectrum, replica_spectra, out=out)
+    return np.fft.ifft(out, out=out)[..., :out_len]
+
+
 def _correlations(rx, replica):
     """matched_filter's correlation of a stack of windows, one window at a time.
 
@@ -353,16 +371,14 @@ def _correlations(rx, replica):
     inverse-FFT buffer that the next step overwrites.
     """
     out_len = rx.shape[-1] - replica.shape[-1] + 1
-    nfft = _next_fast_len(rx.shape[-1])
-    replica_spectra = np.conj(np.fft.fft(replica, n=nfft))
+    replica_spectra = _replica_spectra(replica, rx.shape[-1])
     product = np.empty_like(replica_spectra)
     # one window at a time, its spectrum included: the full (window,
     # replica, n) product, or even the (window, n) spectra, would hold
-    # several times one window's share in memory at once. A window's FFT
-    # has the same bits alone as in a stack
+    # several times one window's share in memory at once
     for window in rx:
-        np.multiply(np.fft.fft(window, n=nfft), replica_spectra, out=product)
-        yield np.fft.ifft(product, out=product)[..., :out_len]
+        spectrum = np.fft.fft(window, n=product.shape[-1])
+        yield _correlate(spectrum, replica_spectra, product, out_len)
 
 
 def matched_filter(rx, replica) -> np.ndarray:

@@ -16,13 +16,22 @@ against the bank and reduced to |.| at once, so the complex (pulse,
 segment, range) cube is never held.
 
 run_pipeline, and the CLI's simulate through the same private helper,
-carries each channel on its own thread from echo to peaks by one route,
-handing each segment-map row to the peak picker as it is made; the picker
-keeps only the pulse map, each row's zero-segment slice. A run that exports
-nothing makes every row in one reused buffer, so the map is never held
-whole; a run that exports maps makes the rows in a whole map and writes it
-once the peaks are picked. Only the peaks come back to be fused, so no
-channel's maps outlive its thread.
+carries each channel on its own thread from echo to peaks. Only two things
+of a channel's segment map are read: its pulse map (for the peak and the
+median) and the subpulse-Doppler bin of its peak (the coarse vote). A run
+that exports nothing therefore makes the pulse map whole, as each row's
+zero-segment correlation alone, and bounds every row's cells by the
+triangle inequality over the inverse FFT: U_k = (1 + 1e-6) max_l (1/nfft)
+sum_f |X_k(f)| |B_l(f)|, X_k the row's window spectrum and B_l the bank's.
+It then inverse-transforms whole only the rows, in descending U_k, until
+one's bound falls strictly below the largest row maximum so far; with a
+target in the scene that is about one of M rows. The margin is sound
+because the computed sum is off by at most about nfft eps (~1e-12)
+relative, and the FFT correlation by the same order. The cells computed
+are the bits a whole map holds and every skipped cell is strictly below
+the peak, so the peaks are the whole map's. A run that exports maps makes
+every row into a whole map, picks its peaks row by row and writes it. Only
+the peaks come back to be fused, so no channel's maps outlive its thread.
 
 Intra-pulse Doppler is modelled as a phase that advances once per subpulse
 interval; that is what degrades the full-replica compression of fast targets
@@ -33,7 +42,6 @@ deliberate).
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -51,7 +59,16 @@ from .ccrt import (
     unfold_tolerant,
     velocity_to_doppler,
 )
-from .numerics import RngStream, _correlations, _finite, _integral, _thread_map, matched_filter
+from .numerics import (
+    RngStream,
+    _correlate,
+    _correlations,
+    _finite,
+    _integral,
+    _replica_spectra,
+    _thread_map,
+    matched_filter,
+)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -354,10 +371,9 @@ def _map_rows(spectra, bank, out):
     """Each pulse-Doppler row's (N, R) segment-map magnitudes, in row order,
     from the pulse-axis DFT of the receive windows and the filter bank.
 
-    Row k is written into the k-th buffer `out` yields: a whole map's rows,
-    or one buffer repeated, which the next row overwrites. Each row is
-    reduced to |.| straight from the inverse-FFT buffer, so the complex
-    (pulse, segment, range) cube is never held.
+    Row k is written into out[k], a whole map's row. Each row is reduced to
+    |.| straight from the inverse-FFT buffer, so the complex (pulse,
+    segment, range) cube is never held.
     """
     for row, block in zip(out, _correlations(spectra, bank)):
         np.abs(block, out=row)
@@ -426,6 +442,12 @@ def _pick_peaks(rows, shape) -> ChannelDetection:
         flat = int(np.argmax(row))
         row_peaks[k] = row.flat[flat]
         row_coarse[k] = flat // num_ranges
+    return _detection(pp, int(row_coarse[int(np.argmax(row_peaks))]))
+
+
+def _detection(pp, coarse_bin: int) -> ChannelDetection:
+    """A channel's detection from its pulse map, which it overwrites, and
+    the subpulse-Doppler bin of its segment-map peak."""
     k_bin, r_bin = np.unravel_index(int(np.argmax(pp)), pp.shape)
     peak = float(pp[k_bin, r_bin])
     median = float(np.median(pp, overwrite_input=True))
@@ -434,10 +456,66 @@ def _pick_peaks(rows, shape) -> ChannelDetection:
     ratio = peak / median if median > peak * np.finfo(float).eps else math.inf
     return ChannelDetection(
         apparent_bin=int(k_bin),
-        coarse_bin=int(row_coarse[int(np.argmax(row_peaks))]),
+        coarse_bin=coarse_bin,
         peak_range_bin=int(r_bin),
         peak_ratio=ratio,
     )
+
+
+def _pulse_rows_and_bounds(spectra, bank_spectra, num_ranges: int):
+    """The pulse map, each row k the l = 0 correlation of window spectrum
+    X_k, and each row's bound U_k (see _pruned_peaks)."""
+    nfft = bank_spectra.shape[-1]
+    bank_magnitudes = np.abs(bank_spectra)
+    pp = np.empty((len(spectra), num_ranges))
+    bounds = np.empty(len(spectra))
+    line = np.empty(nfft, dtype=complex)
+    for k, window in enumerate(spectra):
+        spectrum = np.fft.fft(window, n=nfft)
+        np.abs(_correlate(spectrum, bank_spectra[0], line, num_ranges), out=pp[k])
+        bounds[k] = (bank_magnitudes @ np.abs(spectrum)).max()
+    bounds *= (1.0 + 1e-6) / nfft
+    return pp, bounds
+
+
+def _pruned_peaks(spectra, bank, shape) -> ChannelDetection:
+    """_pick_peaks' detection of the segment map of `shape` (M, N, R) that
+    _map_rows would make from `spectra` and `bank`, inverse-transforming
+    whole only the rows that may hold its peak.
+
+    Every row k gives its window spectrum X_k, its pulse-map row (the l = 0
+    correlation alone, as the median needs every row) and a bound U_k on
+    every |C_l[k, r]| of the row: by the triangle inequality over the
+    inverse FFT, U_k = max_l (1/nfft) sum_f |X_k(f)| |B_l(f)|, with B_l the
+    conjugated bank spectra, times 1 + 1e-6. The computed sum is off by at
+    most about nfft eps (~1e-12) relative, and the computed correlation by
+    the same order, so the margin keeps U_k a bound on the computed cells.
+    Rows are then transformed whole in descending U_k, X_k recomputed, until
+    one's U_k falls strictly below the largest row maximum so far: every
+    cell of each row left is strictly below the segment-map peak. The values
+    are the bits _map_rows makes, and the peak is np.argmax's first
+    occurrence over the whole map, so the detection is _pick_peaks'.
+    """
+    num_ranges = shape[2]
+    bank_spectra = _replica_spectra(bank, spectra.shape[-1])
+    nfft = bank_spectra.shape[-1]
+    # |B_l| lives only in the helper, so it is freed before `product` is made
+    pp, bounds = _pulse_rows_and_bounds(spectra, bank_spectra, num_ranges)
+    product = np.empty_like(bank_spectra)
+    row = np.empty(shape[1:])
+    # a skipped row's maximum stays -inf, below every kept one, so the
+    # first-occurrence argmax is _pick_peaks' over the whole map
+    row_peaks = np.full(len(pp), -math.inf)
+    row_coarse = np.zeros(len(pp), dtype=np.intp)
+    for k in np.argsort(-bounds, kind="stable").tolist():
+        if bounds[k] < row_peaks.max():
+            break
+        spectrum = np.fft.fft(spectra[k], n=nfft)
+        np.abs(_correlate(spectrum, bank_spectra, product, num_ranges), out=row)
+        flat = int(np.argmax(row))
+        row_peaks[k] = row.flat[flat]
+        row_coarse[k] = flat // num_ranges
+    return _detection(pp, int(row_coarse[int(np.argmax(row_peaks))]))
 
 
 def _fuse(
@@ -518,13 +596,17 @@ def _simulate_and_detect(
     """run_pipeline's report, and the lists `export(index, maps)` returned,
     joined in channel order ([] without `export`).
 
-    The channel set is checked first. Every channel's thread then takes one
-    route: synth_echo, the filter bank, the pulse DFT in place, and
-    _map_rows, whose rows the peak picker reads as they are made. Without
-    `export` the rows share one buffer, so no map is held whole; with it
-    they fill a whole segment map (the files need the whole grid), which
-    goes to `export` once the peaks are picked. Either way only the peaks
-    are kept, so no channel's maps outlive its thread.
+    The channel set is checked first. Every channel's thread then makes
+    its receive windows (synth_echo), the filter bank and the pulse DFT in
+    place. Without `export`, _pruned_peaks makes the pulse map and a bound
+    U_k = (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)| on every cell
+    of each segment-map row, and inverse-transforms whole only the rows
+    that may hold the segment-map peak (about one of M with a target in
+    the scene, all M on noise alone), so no map is held whole. With
+    `export`, _map_rows fills a whole segment map (the files need the whole
+    grid), whose rows _pick_peaks reads, and the map goes to `export` once
+    the peaks are picked. Both give the same detections, bit for bit, and
+    only the peaks are kept, so no channel's maps outlive its thread.
     """
     _check_channel_set(setup.channels, spacing_tolerance_hz)
 
@@ -534,11 +616,13 @@ def _simulate_and_detect(
         rx = synth_echo(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
         segments = split_subpulses(make_lfm(setup), channel.num_subpulses)
         rx, bank, shape = _filter_bank(rx, segments, channel)
-        sp = np.empty(shape) if export is not None else None
-        rows = sp if sp is not None else itertools.repeat(np.empty(shape[1:]))
         # the windows are this thread's own, so their pulse DFT overwrites them
-        detection = _pick_peaks(_map_rows(np.fft.fft(rx, axis=0, out=rx), bank, out=rows), shape)
-        return detection, [] if sp is None else export(index, DopplerMap(channel=channel, sp=sp))
+        spectra = np.fft.fft(rx, axis=0, out=rx)
+        if export is None:
+            return _pruned_peaks(spectra, bank, shape), []
+        sp = np.empty(shape)
+        detection = _pick_peaks(_map_rows(spectra, bank, out=sp), shape)
+        return detection, export(index, DopplerMap(channel=channel, sp=sp))
 
     results = _thread_map(channel_peaks, len(setup.channels))
     report = _fuse(
@@ -558,9 +642,12 @@ def run_pipeline(
 
     Channel i draws from RngStream(seed, stream_id=i), so the channels run
     side by side on threads and the report does not depend on the schedule.
-    Each thread picks its own channel's peaks row by row as the segment map
-    is made, in one reused buffer and without simulate_channel or
-    doppler_maps, so no map is held whole; only the peaks are kept.
+    Each thread picks its own channel's peaks without simulate_channel or
+    doppler_maps: it makes the pulse map and inverse-transforms whole only
+    the segment-map rows whose bound (1 + 1e-6) max_l (1/nfft) sum_f
+    |X_k(f)| |B_l(f)| reaches the largest row maximum found, so no map is
+    held whole, and the peaks are those detect_and_unfold picks from the
+    whole maps; only the peaks are kept.
     """
     return _simulate_and_detect(setup, truth, seed, noise_sigma, spacing_tolerance_hz)[0]
 
@@ -569,14 +656,18 @@ def _export_float32(path, array, axis_names, meta: dict = None) -> Path:
     """Write a real array as little-endian float32 plus a JSON sidecar.
 
     The sidecar (at path + '.json') records dtype, shape, axis names, and
-    row-major ordering so the grid can be reloaded without guessing.
+    row-major ordering so the grid can be reloaded without guessing. The
+    grid is converted and written one leading-axis block at a time, so no
+    float32 copy of the whole grid is made.
     """
     arr = np.asarray(array)
     names = list(axis_names)
     if arr.ndim != len(names):
         raise ValueError(f"{arr.ndim}-D grid needs {arr.ndim} axis names, got {names}")
     out = Path(path)
-    arr.astype("<f4").tofile(out)
+    with out.open("wb") as f:
+        for block in np.atleast_1d(arr):
+            np.asarray(block, dtype="<f4").tofile(f)
     sidecar = {
         "dtype": "<f4",
         "order": "C",

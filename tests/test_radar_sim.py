@@ -351,7 +351,8 @@ class TestMaps:
         assert peak < 2.5 * dmap.sp.nbytes
 
     def test_a_plain_run_never_holds_the_segment_map(self, setup):
-        # a run that exports nothing picks its peaks row by row
+        # a run that exports nothing transforms whole only the rows that
+        # may hold the segment-map peak
         single = RadarSetup.build(
             carrier_hz=6e9, pulse_width_s=25e-6, bandwidth_hz=2e6, channels=setup.channels[:1]
         )
@@ -403,6 +404,15 @@ class TestTargetTruth:
             TargetTruth(**fields)
 
 
+def skewed_setup():
+    # the coincidence-mode radar: the third channel's prf is 0.3 Hz off
+    channels = [
+        PrfChannel(prf=prf, num_pulses=m, num_subpulses=8)
+        for prf, m in zip((1100, 1300, 1700.3, 1900), MODULI)
+    ]
+    return RadarSetup.build(carrier_hz=6e9, pulse_width_s=25e-6, bandwidth_hz=2e6, channels=channels)
+
+
 class TestDetection:
     def test_noiseless_receding_target_recovers_velocity(self, setup):
         report = run_pipeline(setup, TargetTruth(range_m=10e3, radial_velocity_mps=-900.0))
@@ -429,13 +439,7 @@ class TestDetection:
         # below -3.4 km/s every channel's segment-axis peak is the Nyquist
         # bin, read as +fmax; scored against +fmax alone the unfold lands
         # 7.3 km/s away, on the other side of the window
-        channels = [
-            PrfChannel(prf=prf, num_pulses=m, num_subpulses=8)
-            for prf, m in zip((1100, 1300, 1700.3, 1900), MODULI)
-        ]
-        skewed = RadarSetup.build(
-            carrier_hz=6e9, pulse_width_s=25e-6, bandwidth_hz=2e6, channels=channels
-        )
+        skewed = skewed_setup()
         truth = TargetTruth(range_m=6734.7, radial_velocity_mps=-3769.622)
         report = run_pipeline(
             skewed, truth, seed=1662192019, noise_sigma=0.05, spacing_tolerance_hz=1.0
@@ -469,8 +473,9 @@ class TestDetection:
             raise AssertionError("the pipeline left its one route")
 
         monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
-        # a plain run and an exporting run take the same route from echo to
-        # peaks; only the exporting one fills a whole map on the way
+        # neither a plain run nor an exporting run makes its maps through
+        # simulate_channel or doppler_maps; only the exporting one fills a
+        # whole map on the way
         monkeypatch.setattr(radar_sim, "simulate_channel", refuse)
         monkeypatch.setattr(radar_sim, "doppler_maps", refuse)
         report = run_pipeline(setup, truth, seed=7, noise_sigma=0.5)
@@ -640,7 +645,142 @@ class TestDetection:
         assert not empty.detected and math.isnan(empty.velocity_mps)
 
 
+def channel_spectra(setup, channel, truth, seed, noise_sigma):
+    """The receive windows of one channel, their filter bank and map shape,
+    and the pulse DFT of the windows, as a plain run's channel makes them."""
+    rng = RngStream(seed, stream_id=setup.channels.index(channel))
+    rx = synth_echo(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
+    segments = split_subpulses(make_lfm(setup), channel.num_subpulses)
+    rx, bank, shape = radar_sim._filter_bank(rx, segments, channel)
+    return rx, segments, bank, shape, np.fft.fft(rx, axis=0)
+
+
+class TestPrunedPeaks:
+    """A plain run transforms whole only the segment-map rows that may hold
+    the peak; its detections must be the whole-map pick's, bit for bit."""
+
+    @staticmethod
+    def assert_pruned_pick_is_the_whole_map_pick(setup, truth, seed, noise_sigma):
+        for channel in setup.channels:
+            rx, segments, bank, shape, spectra = channel_spectra(
+                setup, channel, truth, seed, noise_sigma
+            )
+            whole = doppler_maps(rx, segments, channel).sp
+            want = radar_sim._pick_peaks(whole, whole.shape)
+            got = radar_sim._pruned_peaks(spectra, bank, shape)
+            assert got == want
+            assert got.peak_ratio.hex() == want.peak_ratio.hex()
+
+    @pytest.mark.parametrize("skewed", [False, True], ids=["exact", "coincidence"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_readme_scenes(self, setup, skewed, seed):
+        radar = skewed_setup() if skewed else setup
+        rng = np.random.default_rng(seed)
+        truth = TargetTruth(float(rng.uniform(2e3, 60e3)), float(rng.uniform(-3800.0, 3800.0)))
+        self.assert_pruned_pick_is_the_whole_map_pick(radar, truth, seed, 0.05)
+        tolerance = 1.0 if skewed else 0.0
+        maps = [
+            simulate_channel(radar, ch, truth, rng=RngStream(seed, i), noise_sigma=0.05)
+            for i, ch in enumerate(radar.channels)
+        ]
+        assert run_pipeline(radar, truth, seed, 0.05, tolerance) == detect_and_unfold(
+            maps, radar, tolerance
+        )
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("bin_offset", [0.5, 0.25, 12.5, -0.5])
+    def test_half_bin_velocities(self, setup, bin_offset, noise_sigma):
+        # between two pulse-Doppler bins the target's energy splits across
+        # two rows, whose maxima are nearly equal
+        v = (-40 + bin_offset) * 100.0 * setup.wavelength_m / 2.0
+        self.assert_pruned_pick_is_the_whole_map_pick(setup, TargetTruth(10e3, v), 5, noise_sigma)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.02, 0.05, 0.1])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_low_snr_and_noise_only_scenes(self, setup, amplitude, seed):
+        truth = TargetTruth(25e3, -2000.0, amplitude)
+        self.assert_pruned_pick_is_the_whole_map_pick(setup, truth, seed, 0.05)
+
+    @pytest.mark.parametrize("doppler_bin", [0.0, -40.0, 17.0, -24.37, 600.2])
+    def test_noiseless_scenes(self, setup, doppler_bin):
+        # on a bin the bound of the target's row is tight: all of its
+        # spectrum adds in phase at the peak
+        v = doppler_bin * 100.0 * setup.wavelength_m / 2.0
+        self.assert_pruned_pick_is_the_whole_map_pick(setup, TargetTruth(10e3, v), 0, 0.0)
+
+    def test_noiseless_on_bin_target_reads_an_infinite_ratio(self, setup):
+        report = run_pipeline(setup, TargetTruth(10e3, -40 * 100.0 * setup.wavelength_m / 2.0))
+        assert all(math.isinf(c.peak_ratio) for c in report.channels)
+
+    def test_an_empty_scene(self, setup):
+        silent = TargetTruth(10e3, 0.0, amplitude=0.0)
+        self.assert_pruned_pick_is_the_whole_map_pick(setup, silent, 0, 0.0)
+
+    def test_the_pruning_engages(self, setup, monkeypatch):
+        # count the inverse FFTs that transform a whole pulse-Doppler row
+        # (all N subpulse-Doppler bins) per channel, told apart by length
+        whole_rows = {}
+        inverse = np.fft.ifft
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                length = np.shape(a)[-1]
+                whole_rows[length] = whole_rows.get(length, 0) + 1
+            return inverse(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        rng = np.random.default_rng(11)
+        for seed in range(3):
+            truth = TargetTruth(float(rng.uniform(2e3, 60e3)), float(rng.uniform(-3800.0, 3800.0)))
+            whole_rows.clear()
+            report = run_pipeline(setup, truth, seed=seed, noise_sigma=0.05)
+            assert report.detected
+            assert len(whole_rows) == len(setup.channels)
+            assert all(1 <= count <= 2 for count in whole_rows.values())
+
+    def test_an_exporting_run_fills_and_exports_every_row(self, setup, tmp_path):
+        truth = TargetTruth(10e3, -2500.0)
+
+        def export(index, dmap):
+            return [str(p) for p in export_maps(dmap, tmp_path / f"ch{index}")]
+
+        report, written = radar_sim._simulate_and_detect(setup, truth, 3, 0.05, 0.0, export=export)
+        assert report == run_pipeline(setup, truth, seed=3, noise_sigma=0.05)
+        assert len(written) == 2 * len(setup.channels)
+        for index, channel in enumerate(setup.channels):
+            want = simulate_channel(
+                setup, channel, truth, rng=RngStream(3, index), noise_sigma=0.05
+            )
+            sp = np.fromfile(tmp_path / f"ch{index}.sp.f32", dtype="<f4")
+            pp = np.fromfile(tmp_path / f"ch{index}.pp.f32", dtype="<f4")
+            np.testing.assert_array_equal(sp, want.sp.astype("<f4").ravel())
+            np.testing.assert_array_equal(pp, want.pp.astype("<f4").ravel())
+
+
 class TestExport:
+    @pytest.mark.parametrize("grid", [
+        lambda sp: sp, lambda sp: sp[:, 0, :], lambda sp: sp[0, 0], lambda sp: sp[0, 0, 0],
+    ], ids=["segment-map", "pulse-map-view", "1-D", "0-D"])
+    def test_export_writes_the_bytes_of_a_float32_copy(self, grid, tmp_path):
+        sp = np.random.default_rng(0).normal(size=(5, 3, 7)) * 1e3
+        array = grid(sp)
+        path = radar_sim._export_float32(
+            tmp_path / "grid.f32", array, [f"axis{i}" for i in range(np.ndim(array))]
+        )
+        assert path.read_bytes() == np.asarray(array).astype("<f4").tobytes()
+
+    def test_export_makes_no_float32_copy_of_the_whole_map(self, setup, tmp_path):
+        dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -300.0))
+        export_maps(dmap, tmp_path / "warm")  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            export_maps(dmap, tmp_path / "maps")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a whole float32 copy is half the map's bytes
+        assert peak < dmap.sp.nbytes / 8
+
     def test_map_export_writes_both_grids(self, setup, tmp_path):
         dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -300.0))
         pp_path, sp_path = export_maps(dmap, tmp_path / "maps")
