@@ -101,11 +101,6 @@ def ccrt_solve(moduli: Sequence[int], residues):
     while sum_i (M_i - 1) * beta_i < 2**63, else Python ints in an object
     array. A non-integral residue is refused by name.
     """
-    return _solve(moduli, residues)[0]
-
-
-def _solve(moduli: Sequence[int], residues):
-    """ccrt_solve's bin or bins, and the basis (beta_i) they were solved on."""
     moduli = tuple(_integral(m, "modulus", 1) for m in moduli)
     if not moduli:
         raise ValueError("moduli must be non-empty")
@@ -125,7 +120,7 @@ def _solve(moduli: Sequence[int], residues):
         bins = (r.astype(np.int64) @ np.array(basis, dtype=np.int64)) % theta
     else:
         bins = (r.astype(object) @ np.array(basis, dtype=object)) % theta
-    return (int(bins) if r.ndim == 1 else bins), basis
+    return int(bins) if r.ndim == 1 else bins
 
 
 def doppler_to_velocity(f_d: float, wavelength: float) -> float:
@@ -195,11 +190,11 @@ def _search(
     if len(residues) != len(channels):
         raise ValueError("one residue per channel required")
     moduli = tuple(ch.num_pulses for ch in channels)
-    measured, basis = _solve(moduli, residues)
+    measured = ccrt_solve(moduli, residues)
     theta = math.prod(moduli)
     bins = [(0, measured)]
     if corrections:
-        bins += [(1, (measured + s * beta) % theta) for beta in basis for s in (-1, 1)]
+        bins += [(1, (measured + s * beta) % theta) for beta in _basis(moduli) for s in (-1, 1)]
     span = theta * spacing
     fmax = span / 2.0 if fmax_hz is None else _finite(float(fmax_hz), "fmax_hz", "non-negative")
     coarse_hz = _finite(float(coarse_hz), "coarse_hz")

@@ -19,19 +19,20 @@ run_pipeline, and the CLI's simulate through the same private helper,
 carries each channel on its own thread from echo to peaks. Only two things
 of a channel's segment map are read: its pulse map (for the peak and the
 median) and the subpulse-Doppler bin of its peak (the coarse vote). A run
-that exports nothing therefore makes the pulse map whole, as each row's
-zero-segment correlation alone, and bounds every row's cells by the
-triangle inequality over the inverse FFT: U_k = (1 + 1e-6) max_l (1/nfft)
-sum_f |X_k(f)| |B_l(f)|, X_k the row's window spectrum and B_l the bank's.
-It then inverse-transforms whole only the rows, in descending U_k, until
-one's bound falls strictly below the largest row maximum so far; with a
-target in the scene that is about one of M rows. The margin is sound
-because the computed sum is off by at most about nfft eps (~1e-12)
-relative, and the FFT correlation by the same order. The cells computed
-are the bits a whole map holds and every skipped cell is strictly below
-the peak, so the peaks are the whole map's. A run that exports maps makes
-every row into a whole map, picks its peaks row by row and writes it. Only
-the peaks come back to be fused, so no channel's maps outlive its thread.
+that exports nothing therefore takes each row's window spectrum X_k once
+and bounds the row's cells by the triangle inequality over the inverse
+FFT: U_k = (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)|, B_l the
+bank's spectra. It then inverse-transforms whole only the rows, in
+descending U_k, until one's bound falls strictly below the largest row
+maximum so far; with a target in the scene that is about one of M rows,
+and every row left gives its pulse-map row from the zero-segment
+correlation alone. The margin is sound because the computed sum is off by
+at most about nfft eps (~1e-12) relative, and the FFT correlation by the
+same order. The cells computed are the bits a whole map holds and every
+skipped cell is strictly below the peak, so the peaks are the whole map's.
+A run that exports maps makes every row into a whole map, picks its peaks
+from it and writes it. Only the peaks come back to be fused, so no
+channel's maps outlive its thread.
 
 Intra-pulse Doppler is modelled as a phase that advances once per subpulse
 interval; that is what degrades the full-replica compression of fast targets
@@ -367,17 +368,16 @@ def _filter_bank(rx_per_pulse, subpulse_replicas, channel: PrfChannel):
     return rx, bank, (rx.shape[0], n, rx.shape[1] - bank.shape[1] + 1)
 
 
-def _map_rows(spectra, bank, out):
-    """Each pulse-Doppler row's (N, R) segment-map magnitudes, in row order,
+def _map_rows(spectra, bank, out) -> np.ndarray:
+    """`out`, an (M, N, R) buffer, filled with the segment-map magnitudes
     from the pulse-axis DFT of the receive windows and the filter bank.
 
-    Row k is written into out[k], a whole map's row. Each row is reduced to
-    |.| straight from the inverse-FFT buffer, so the complex (pulse,
-    segment, range) cube is never held.
+    Each pulse-Doppler row is reduced to |.| straight from the inverse-FFT
+    buffer, so the complex (pulse, segment, range) cube is never held.
     """
     for row, block in zip(out, _correlations(spectra, bank)):
         np.abs(block, out=row)
-        yield row
+    return out
 
 
 def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> DopplerMap:
@@ -399,9 +399,7 @@ def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> Dopple
     magnitudes as soon as it is correlated.
     """
     rx, bank, shape = _filter_bank(rx_per_pulse, subpulse_replicas, channel)
-    sp = np.empty(shape)
-    for _ in _map_rows(np.fft.fft(rx, axis=0), bank, out=sp):
-        pass
+    sp = _map_rows(np.fft.fft(rx, axis=0), bank, out=np.empty(shape))
     return DopplerMap(channel=channel, sp=sp)
 
 
@@ -422,27 +420,13 @@ def _check_channel_set(channels: Sequence[PrfChannel], spacing_tolerance_hz: flo
         raise ValueError(f"channels disagree on subpulse count: {sorted(subpulse_counts)}")
 
 
-def _pick_peaks(rows, shape) -> ChannelDetection:
-    """One channel's peaks from its segment map of `shape` (M, N, R), read
-    one (N, R) pulse-Doppler row at a time: the pulse-map peak (row[0] is
-    the pulse map's row), its ratio to the pulse-map median, and the
+def _pick_peaks(sp) -> ChannelDetection:
+    """One channel's peaks from its segment map: the pulse-map peak (the
+    pulse map is sp[:, 0, :]), its ratio to the pulse-map median, and the
     segment-map peak's subpulse-Doppler bin (the channel's coarse vote).
-
-    Each row is read before the next is asked for, so the rows may share
-    one buffer. Both peaks are np.argmax's first occurrence over the whole
-    map: the segment-map peak is the first row whose maximum is the largest,
-    at that row's first maximum.
-    """
-    num_rows, _, num_ranges = shape
-    pp = np.empty((num_rows, num_ranges))
-    row_peaks = np.empty(num_rows)
-    row_coarse = np.empty(num_rows, dtype=np.intp)
-    for k, row in enumerate(rows):
-        pp[k] = row[0]
-        flat = int(np.argmax(row))
-        row_peaks[k] = row.flat[flat]
-        row_coarse[k] = flat // num_ranges
-    return _detection(pp, int(row_coarse[int(np.argmax(row_peaks))]))
+    Both peaks are np.argmax's first occurrence."""
+    coarse_bin = int(np.unravel_index(int(np.argmax(sp)), sp.shape)[1])
+    return _detection(sp[:, 0, :].copy(), coarse_bin)
 
 
 def _detection(pp, coarse_bin: int) -> ChannelDetection:
@@ -462,59 +446,67 @@ def _detection(pp, coarse_bin: int) -> ChannelDetection:
     )
 
 
-def _pulse_rows_and_bounds(spectra, bank_spectra, num_ranges: int):
-    """The pulse map, each row k the l = 0 correlation of window spectrum
-    X_k, and each row's bound U_k (see _pruned_peaks)."""
-    nfft = bank_spectra.shape[-1]
-    bank_magnitudes = np.abs(bank_spectra)
-    pp = np.empty((len(spectra), num_ranges))
-    bounds = np.empty(len(spectra))
-    line = np.empty(nfft, dtype=complex)
-    for k, window in enumerate(spectra):
-        spectrum = np.fft.fft(window, n=nfft)
-        np.abs(_correlate(spectrum, bank_spectra[0], line, num_ranges), out=pp[k])
-        bounds[k] = (bank_magnitudes @ np.abs(spectrum)).max()
-    bounds *= (1.0 + 1e-6) / nfft
-    return pp, bounds
-
-
 def _pruned_peaks(spectra, bank, shape) -> ChannelDetection:
     """_pick_peaks' detection of the segment map of `shape` (M, N, R) that
     _map_rows would make from `spectra` and `bank`, inverse-transforming
-    whole only the rows that may hold its peak.
+    whole only the rows that may hold its peak. `spectra` is overwritten.
 
-    Every row k gives its window spectrum X_k, its pulse-map row (the l = 0
-    correlation alone, as the median needs every row) and a bound U_k on
+    Each row k's window spectrum X_k is taken once, with a bound U_k on
     every |C_l[k, r]| of the row: by the triangle inequality over the
     inverse FFT, U_k = max_l (1/nfft) sum_f |X_k(f)| |B_l(f)|, with B_l the
     conjugated bank spectra, times 1 + 1e-6. The computed sum is off by at
     most about nfft eps (~1e-12) relative, and the computed correlation by
     the same order, so the margin keeps U_k a bound on the computed cells.
-    Rows are then transformed whole in descending U_k, X_k recomputed, until
-    one's U_k falls strictly below the largest row maximum so far: every
-    cell of each row left is strictly below the segment-map peak. The values
-    are the bits _map_rows makes, and the peak is np.argmax's first
-    occurrence over the whole map, so the detection is _pick_peaks'.
+    Rows are transformed whole in descending U_k until one's U_k falls
+    strictly below the largest row maximum so far: every cell of each row
+    left is strictly below the segment-map peak. A row left gives its
+    pulse-map row from the l = 0 correlation alone (the median needs every
+    row). The values are the bits _map_rows makes, and the peak is
+    np.argmax's first occurrence over the whole map, so the detection is
+    _pick_peaks'.
     """
+    num_rows, width = spectra.shape
     num_ranges = shape[2]
-    bank_spectra = _replica_spectra(bank, spectra.shape[-1])
+    bank_spectra = _replica_spectra(bank, width)
     nfft = bank_spectra.shape[-1]
-    # |B_l| lives only in the helper, so it is freed before `product` is made
-    pp, bounds = _pulse_rows_and_bounds(spectra, bank_spectra, num_ranges)
+    bank_magnitudes = np.abs(bank_spectra)
+    bounds = np.empty(num_rows)
+    # X_k is kept where nothing reads again, its first `width` bins over
+    # the row it was taken from and the rest in `tails`: no forward FFT is
+    # taken twice, and no window is held twice
+    line = np.empty(nfft, dtype=complex)
+    tails = np.empty((num_rows, nfft - width), dtype=complex)
+    for k, window in enumerate(spectra):
+        np.fft.fft(window, n=nfft, out=line)
+        bounds[k] = (bank_magnitudes @ np.abs(line)).max()
+        window[...] = line[:width]
+        tails[k] = line[width:]
+    bounds *= (1.0 + 1e-6) / nfft
+    del bank_magnitudes
+
+    def window_spectrum(k: int) -> np.ndarray:
+        line[:width] = spectra[k]
+        line[width:] = tails[k]
+        return line
+
+    pp = np.empty((num_rows, num_ranges))
     product = np.empty_like(bank_spectra)
     row = np.empty(shape[1:])
-    # a skipped row's maximum stays -inf, below every kept one, so the
+    # a row left keeps the maximum -inf, below every |.| kept, so the
     # first-occurrence argmax is _pick_peaks' over the whole map
-    row_peaks = np.full(len(pp), -math.inf)
-    row_coarse = np.zeros(len(pp), dtype=np.intp)
+    row_peaks = np.full(num_rows, -math.inf)
+    row_coarse = np.zeros(num_rows, dtype=np.intp)
     for k in np.argsort(-bounds, kind="stable").tolist():
         if bounds[k] < row_peaks.max():
             break
-        spectrum = np.fft.fft(spectra[k], n=nfft)
-        np.abs(_correlate(spectrum, bank_spectra, product, num_ranges), out=row)
+        np.abs(_correlate(window_spectrum(k), bank_spectra, product, num_ranges), out=row)
+        pp[k] = row[0]
         flat = int(np.argmax(row))
         row_peaks[k] = row.flat[flat]
         row_coarse[k] = flat // num_ranges
+    for k in np.flatnonzero(np.isneginf(row_peaks)).tolist():
+        zero_segment = _correlate(window_spectrum(k), bank_spectra[0], product[0], num_ranges)
+        np.abs(zero_segment, out=pp[k])
     return _detection(pp, int(row_coarse[int(np.argmax(row_peaks))]))
 
 
@@ -568,7 +560,7 @@ def detect_and_unfold(
     """
     channels = [m.channel for m in maps]
     _check_channel_set(channels, spacing_tolerance_hz)
-    detections = [_pick_peaks(m.sp, m.sp.shape) for m in maps]
+    detections = [_pick_peaks(m.sp) for m in maps]
     return _fuse(detections, channels, setup, spacing_tolerance_hz)
 
 
@@ -598,15 +590,15 @@ def _simulate_and_detect(
 
     The channel set is checked first. Every channel's thread then makes
     its receive windows (synth_echo), the filter bank and the pulse DFT in
-    place. Without `export`, _pruned_peaks makes the pulse map and a bound
-    U_k = (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)| on every cell
-    of each segment-map row, and inverse-transforms whole only the rows
-    that may hold the segment-map peak (about one of M with a target in
-    the scene, all M on noise alone), so no map is held whole. With
-    `export`, _map_rows fills a whole segment map (the files need the whole
-    grid), whose rows _pick_peaks reads, and the map goes to `export` once
-    the peaks are picked. Both give the same detections, bit for bit, and
-    only the peaks are kept, so no channel's maps outlive its thread.
+    place. Without `export`, _pruned_peaks bounds every cell of segment-map
+    row k by U_k = (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)| and
+    inverse-transforms whole only the rows that may hold the segment-map
+    peak (about one of M with a target in the scene, all M on noise alone);
+    the other rows give only their pulse-map row, so no map is held whole.
+    With `export`, _map_rows fills a whole segment map (the files need the
+    whole grid), _pick_peaks reads it, and the map goes to `export`. Both
+    give the same detections, bit for bit, and only the peaks are kept, so
+    no channel's maps outlive its thread.
     """
     _check_channel_set(setup.channels, spacing_tolerance_hz)
 
@@ -620,9 +612,8 @@ def _simulate_and_detect(
         spectra = np.fft.fft(rx, axis=0, out=rx)
         if export is None:
             return _pruned_peaks(spectra, bank, shape), []
-        sp = np.empty(shape)
-        detection = _pick_peaks(_map_rows(spectra, bank, out=sp), shape)
-        return detection, export(index, DopplerMap(channel=channel, sp=sp))
+        sp = _map_rows(spectra, bank, out=np.empty(shape))
+        return _pick_peaks(sp), export(index, DopplerMap(channel=channel, sp=sp))
 
     results = _thread_map(channel_peaks, len(setup.channels))
     report = _fuse(
@@ -643,11 +634,11 @@ def run_pipeline(
     Channel i draws from RngStream(seed, stream_id=i), so the channels run
     side by side on threads and the report does not depend on the schedule.
     Each thread picks its own channel's peaks without simulate_channel or
-    doppler_maps: it makes the pulse map and inverse-transforms whole only
-    the segment-map rows whose bound (1 + 1e-6) max_l (1/nfft) sum_f
-    |X_k(f)| |B_l(f)| reaches the largest row maximum found, so no map is
-    held whole, and the peaks are those detect_and_unfold picks from the
-    whole maps; only the peaks are kept.
+    doppler_maps: it inverse-transforms whole only the segment-map rows
+    whose bound (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)| reaches
+    the largest row maximum found, and of the rest only the pulse-map row,
+    so no map is held whole, and the peaks are those detect_and_unfold
+    picks from the whole maps; only the peaks are kept.
     """
     return _simulate_and_detect(setup, truth, seed, noise_sigma, spacing_tolerance_hz)[0]
 
@@ -656,18 +647,14 @@ def _export_float32(path, array, axis_names, meta: dict = None) -> Path:
     """Write a real array as little-endian float32 plus a JSON sidecar.
 
     The sidecar (at path + '.json') records dtype, shape, axis names, and
-    row-major ordering so the grid can be reloaded without guessing. The
-    grid is converted and written one leading-axis block at a time, so no
-    float32 copy of the whole grid is made.
+    row-major ordering so the grid can be reloaded without guessing.
     """
     arr = np.asarray(array)
     names = list(axis_names)
     if arr.ndim != len(names):
         raise ValueError(f"{arr.ndim}-D grid needs {arr.ndim} axis names, got {names}")
     out = Path(path)
-    with out.open("wb") as f:
-        for block in np.atleast_1d(arr):
-            np.asarray(block, dtype="<f4").tofile(f)
+    arr.astype("<f4").tofile(out)
     sidecar = {
         "dtype": "<f4",
         "order": "C",

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subpulse import ccrt
 from subpulse import (
     NotInvertibleError,
     OutOfWindowError,
@@ -323,25 +322,6 @@ class TestUnfoldTolerant:
             unfold(residues, chans, coarse_hz=3600.0, fmax_hz=160e3)
         res = unfold_tolerant(residues, chans, coarse_hz=3600.0, fmax_hz=160e3)
         assert res.bin == 36 and res.doppler_hz == pytest.approx(3600.0)
-
-    @pytest.mark.parametrize("unfolder, residues", [
-        (unfold, [3, 10, 2, 17]),
-        (unfold_tolerant, [3, 10, 2, 17]),
-        (unfold_tolerant, [4, 10, 2, 17]),
-    ])
-    def test_an_unfold_builds_the_basis_once(self, unfolder, residues, monkeypatch):
-        # the solve and the one-residue corrections share one basis: one
-        # modular inverse per channel
-        calls = []
-
-        def counted(a, m):
-            calls.append(m)
-            return modular_inverse(a, m)
-
-        monkeypatch.setattr(ccrt, "modular_inverse", counted)
-        res = unfolder(residues, reference_channels(), coarse_hz=3600.0, fmax_hz=160e3)
-        assert res.bin == 36
-        assert sorted(calls) == list(MODULI)
 
     def test_a_coarse_estimate_on_the_nyquist_edge_may_mean_either_sign(self):
         # the segment axis reads its Nyquist bin as +fmax; the truth sits

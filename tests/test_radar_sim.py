@@ -539,18 +539,9 @@ class TestDetection:
     @example(np.zeros((3, 2, 4)))
     @example(np.full((2, 3, 2), math.inf))
     @example(np.array([[[1.0, 3.0]], [[3.0, math.inf]], [[math.inf, 2.0]]]))
-    def test_row_by_row_pick_matches_the_whole_map_pick(self, sp):
-        def one_buffer(rows):
-            # the rows as _map_rows yields them without a map: one buffer,
-            # overwritten by the next row
-            buffer = np.empty(rows.shape[1:])
-            for row in rows:
-                buffer[...] = row
-                yield buffer
-
+    def test_pick_matches_the_whole_map_reference(self, sp):
         want = self.whole_map_peaks(sp)
-        assert radar_sim._pick_peaks(sp, sp.shape) == want
-        assert radar_sim._pick_peaks(one_buffer(sp), sp.shape) == want
+        assert radar_sim._pick_peaks(sp) == want
         if not sp.any():
             assert math.isinf(want.peak_ratio)
 
@@ -666,7 +657,7 @@ class TestPrunedPeaks:
                 setup, channel, truth, seed, noise_sigma
             )
             whole = doppler_maps(rx, segments, channel).sp
-            want = radar_sim._pick_peaks(whole, whole.shape)
+            want = radar_sim._pick_peaks(whole)
             got = radar_sim._pruned_peaks(spectra, bank, shape)
             assert got == want
             assert got.peak_ratio.hex() == want.peak_ratio.hex()
@@ -758,29 +749,6 @@ class TestPrunedPeaks:
 
 
 class TestExport:
-    @pytest.mark.parametrize("grid", [
-        lambda sp: sp, lambda sp: sp[:, 0, :], lambda sp: sp[0, 0], lambda sp: sp[0, 0, 0],
-    ], ids=["segment-map", "pulse-map-view", "1-D", "0-D"])
-    def test_export_writes_the_bytes_of_a_float32_copy(self, grid, tmp_path):
-        sp = np.random.default_rng(0).normal(size=(5, 3, 7)) * 1e3
-        array = grid(sp)
-        path = radar_sim._export_float32(
-            tmp_path / "grid.f32", array, [f"axis{i}" for i in range(np.ndim(array))]
-        )
-        assert path.read_bytes() == np.asarray(array).astype("<f4").tobytes()
-
-    def test_export_makes_no_float32_copy_of_the_whole_map(self, setup, tmp_path):
-        dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -300.0))
-        export_maps(dmap, tmp_path / "warm")  # first-call allocations out of the count
-        tracemalloc.start()
-        try:
-            export_maps(dmap, tmp_path / "maps")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a whole float32 copy is half the map's bytes
-        assert peak < dmap.sp.nbytes / 8
-
     def test_map_export_writes_both_grids(self, setup, tmp_path):
         dmap = simulate_channel(setup, setup.channels[0], TargetTruth(10e3, -300.0))
         pp_path, sp_path = export_maps(dmap, tmp_path / "maps")
