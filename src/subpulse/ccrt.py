@@ -25,6 +25,7 @@ __all__ = [
     "OutOfWindowError",
     "modular_inverse",
     "ccrt_solve",
+    "common_bin_spacing",
     "doppler_to_velocity",
     "velocity_to_doppler",
     "unfold",

@@ -353,6 +353,11 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
         target = _build(keys, TargetTruth, range_m, velocity, amplitude)
         noise_sigma = _need(left, "noise_sigma", float, default=_DEFAULTS["noise_sigma"])
         _build(("noise_sigma",), _finite, noise_sigma, "noise_sigma", "non-negative")
+        if noise_sigma > 0 and parsed["seed"] is None:
+            raise ConfigError(
+                "an explicit seed is required when noise_sigma > 0 "
+                "(set 'seed' in the config, or pass --seed)"
+            )
         parsed.update(
             radar=radar,
             target=target,
@@ -373,8 +378,9 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
 def load_config(path, *, mode: Optional[str] = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config, so that later stages can
     assume a coherent setup. The loader checks JSON types, finiteness, the SNR
-    grid's shape and size, the channel counts, the prf count, the Monte Carlo
-    seed's presence, `noise_sigma`, `output_path` and the keys a mode reads;
+    grid's shape and size, the channel counts, the prf count, the seed's
+    presence where Monte Carlo runs or noise is simulated, `noise_sigma`,
+    `output_path` and the keys a mode reads;
     other value ranges come from the library objects the run uses, built
     here. Range refusals read "field '<dotted path>': <message>".
     """

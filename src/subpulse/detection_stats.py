@@ -34,6 +34,7 @@ import numpy as np
 from .numerics import _finite, _integral, bessel_i0_log, integrate_semi_infinite
 
 __all__ = [
+    "SNR_SCALE_DEFAULT",
     "ChannelStats",
     "FusionRule",
     "NumericalDomainError",

@@ -363,24 +363,6 @@ def _correlate(window_spectrum, replica_spectra, out, out_len: int) -> np.ndarra
     return np.fft.ifft(out, out=out)[..., :out_len]
 
 
-def _correlations(rx, replica):
-    """matched_filter's correlation of a stack of windows, one window at a time.
-
-    `rx` is (windows, W). Each step yields one window's correlation with
-    every replica, replica.shape[:-1] + (W - L + 1,), as a view into one
-    inverse-FFT buffer that the next step overwrites.
-    """
-    out_len = rx.shape[-1] - replica.shape[-1] + 1
-    replica_spectra = _replica_spectra(replica, rx.shape[-1])
-    product = np.empty_like(replica_spectra)
-    # one window at a time, its spectrum included: the full (window,
-    # replica, n) product, or even the (window, n) spectra, would hold
-    # several times one window's share in memory at once
-    for window in rx:
-        spectrum = np.fft.fft(window, n=product.shape[-1])
-        yield _correlate(spectrum, replica_spectra, product, out_len)
-
-
 def matched_filter(rx, replica) -> np.ndarray:
     """Full-overlap cross-correlation y[k] = sum_n rx[k+n] conj(replica[n]).
 
@@ -404,6 +386,12 @@ def matched_filter(rx, replica) -> np.ndarray:
         raise ValueError("replica must not be longer than rx")
     windows = np.atleast_2d(rx_arr)
     out = np.empty((len(windows),) + rep_arr.shape[:-1] + (out_len,), dtype=np.complex128)
-    for row_out, block in zip(out, _correlations(windows, rep_arr)):
-        row_out[:] = block
+    replica_spectra = _replica_spectra(rep_arr, windows.shape[-1])
+    product = np.empty_like(replica_spectra)
+    # one window at a time, its spectrum included: the full (window,
+    # replica, n) product, or even the (window, n) spectra, would hold
+    # several times one window's share in memory at once
+    for row_out, window in zip(out, windows):
+        spectrum = np.fft.fft(window, n=product.shape[-1])
+        row_out[:] = _correlate(spectrum, replica_spectra, product, out_len)
     return out if rx_arr.ndim == 2 else out[0]

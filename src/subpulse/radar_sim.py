@@ -8,21 +8,22 @@ wide Doppler tolerance), and its zero-segment-frequency slice is the pulse
 map (fine resolution, narrow tolerance). The peaks of both maps feed the
 congruence-based velocity unfolding in ccrt.
 
-Compression and both DFTs are linear, so doppler_maps takes the DFTs first:
-the pulse DFT on the raw receive windows, and the segment DFT folded into N
-phase-stepped copies of the replica, a subpulse-Doppler filter bank. The
-segment map comes one pulse-Doppler row at a time: each row is correlated
-against the bank and reduced to |.| at once, so the complex (pulse,
-segment, range) cube is never held.
+Compression and both DFTs are linear, so the DFTs come first: the pulse
+DFT on the raw receive windows, and the segment DFT folded into N
+phase-stepped copies of the replica, a subpulse-Doppler filter bank. Each
+channel's windows become one 2-D spectrum X (the pulse DFT, then each
+row's DFT at the correlation length nfft), and every cell of its segment
+map is |IFFT(X_k B_l)|, B_l the bank's conjugated spectra. The map comes
+one pulse-Doppler row at a time, each row reduced to |.| at once, so the
+complex (pulse, segment, range) cube is never held.
 
 run_pipeline, and the CLI's simulate through the same private helper,
 carries each channel on its own thread from echo to peaks. Only two things
 of a channel's segment map are read: its pulse map (for the peak and the
 median) and the subpulse-Doppler bin of its peak (the coarse vote). A run
-that exports nothing therefore takes each row's window spectrum X_k once
-and bounds the row's cells by the triangle inequality over the inverse
-FFT: U_k = (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)|, B_l the
-bank's spectra. It then inverse-transforms whole only the rows, in
+that exports nothing therefore bounds the cells of row k by the triangle
+inequality over the inverse FFT, U_k = (1 + 1e-6) max_l (1/nfft) sum_f
+|X_k(f)| |B_l(f)|, and inverse-transforms whole only the rows, in
 descending U_k, until one's bound falls strictly below the largest row
 maximum so far; with a target in the scene that is about one of M rows,
 and every row left gives its pulse-map row from the zero-segment
@@ -30,9 +31,9 @@ correlation alone. The margin is sound because the computed sum is off by
 at most about nfft eps (~1e-12) relative, and the FFT correlation by the
 same order. The cells computed are the bits a whole map holds and every
 skipped cell is strictly below the peak, so the peaks are the whole map's.
-A run that exports maps makes every row into a whole map, picks its peaks
-from it and writes it. Only the peaks come back to be fused, so no
-channel's maps outlive its thread.
+A run that exports maps makes every row into a whole map from the same X,
+picks its peaks from it and writes it. Only the peaks come back to be
+fused, so no channel's maps outlive its thread.
 
 Intra-pulse Doppler is modelled as a phase that advances once per subpulse
 interval; that is what degrades the full-replica compression of fast targets
@@ -63,7 +64,6 @@ from .ccrt import (
 from .numerics import (
     RngStream,
     _correlate,
-    _correlations,
     _finite,
     _integral,
     _replica_spectra,
@@ -73,6 +73,7 @@ from .numerics import (
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "DETECTION_THRESHOLD",
     "RadarSetup",
     "TargetTruth",
     "Datacube",
@@ -344,10 +345,14 @@ def build_datacube(profiles, channel: PrfChannel) -> Datacube:
     return Datacube(channel=channel, data=arr.transpose(2, 0, 1))
 
 
-def _filter_bank(rx_per_pulse, subpulse_replicas, channel: PrfChannel):
-    """doppler_maps' checked receive windows, its subpulse-Doppler filter
-    bank, (N, replica length), row l the segments rotated by l s / N turns,
-    and the segment map's (pulse-Doppler, subpulse-Doppler, range) shape."""
+def _channel_spectra(rx_per_pulse, subpulse_replicas, channel: PrfChannel):
+    """The one 2-D spectrum both segment-map routes read, from a channel's
+    checked receive windows: X, (M, nfft), their pulse-axis DFT and then
+    each row's DFT at the length nfft that correlates it with the filter
+    bank; the conjugated spectra of that bank, (N, nfft), row l the
+    segments rotated by l s / N turns; and the segment map's
+    (pulse-Doppler, subpulse-Doppler, range) shape. Segment-map row k is
+    |IFFT(X_k B_l)| over l at the valid lags."""
     segments = [np.asarray(seg) for seg in subpulse_replicas]
     if not segments or min(seg.size for seg in segments) == 0:
         raise ValueError("every subpulse replica must be non-empty")
@@ -365,18 +370,26 @@ def _filter_bank(rx_per_pulse, subpulse_replicas, channel: PrfChannel):
     bank = np.concatenate(segments) * np.repeat(phases, [seg.size for seg in segments], axis=1)
     if bank.shape[1] > rx.shape[1]:
         raise ValueError("replica must not be longer than rx")
-    return rx, bank, (rx.shape[0], n, rx.shape[1] - bank.shape[1] + 1)
+    bank_spectra = _replica_spectra(bank, rx.shape[1])
+    # the windows zero-padded to nfft; both DFTs in place, so X is the only
+    # array of its size, and its rows have the bits of np.fft.fft(row, n=nfft)
+    spectra = np.zeros((rx.shape[0], bank_spectra.shape[1]), dtype=np.complex128)
+    spectra[:, : rx.shape[1]] = rx
+    np.fft.fft(spectra, axis=0, out=spectra)
+    np.fft.fft(spectra, axis=1, out=spectra)
+    return spectra, bank_spectra, (rx.shape[0], n, rx.shape[1] - bank.shape[1] + 1)
 
 
-def _map_rows(spectra, bank, out) -> np.ndarray:
+def _map_rows(spectra, bank_spectra, out) -> np.ndarray:
     """`out`, an (M, N, R) buffer, filled with the segment-map magnitudes
-    from the pulse-axis DFT of the receive windows and the filter bank.
+    from _channel_spectra's X and bank spectra.
 
     Each pulse-Doppler row is reduced to |.| straight from the inverse-FFT
     buffer, so the complex (pulse, segment, range) cube is never held.
     """
-    for row, block in zip(out, _correlations(spectra, bank)):
-        np.abs(block, out=row)
+    product = np.empty_like(bank_spectra)
+    for row, spectrum in zip(out, spectra):
+        np.abs(_correlate(spectrum, bank_spectra, product, out.shape[-1]), out=row)
     return out
 
 
@@ -398,8 +411,8 @@ def doppler_maps(rx_per_pulse, subpulse_replicas, channel: PrfChannel) -> Dopple
     and no per-range transform is left. Each pulse-Doppler row is reduced to
     magnitudes as soon as it is correlated.
     """
-    rx, bank, shape = _filter_bank(rx_per_pulse, subpulse_replicas, channel)
-    sp = _map_rows(np.fft.fft(rx, axis=0), bank, out=np.empty(shape))
+    spectra, bank_spectra, shape = _channel_spectra(rx_per_pulse, subpulse_replicas, channel)
+    sp = _map_rows(spectra, bank_spectra, out=np.empty(shape))
     return DopplerMap(channel=channel, sp=sp)
 
 
@@ -436,8 +449,12 @@ def _detection(pp, coarse_bin: int) -> ChannelDetection:
     peak = float(pp[k_bin, r_bin])
     median = float(np.median(pp, overwrite_input=True))
     # a median under one ulp of the peak is round-off of the FFT
-    # correlation over an empty (noiseless) map, not a noise floor
-    ratio = peak / median if median > peak * np.finfo(float).eps else math.inf
+    # correlation over a noiseless map, not a noise floor; a map that is
+    # zero throughout holds no peak at all
+    if median > peak * np.finfo(float).eps:
+        ratio = peak / median
+    else:
+        ratio = math.inf if peak > 0 else 0.0
     return ChannelDetection(
         apparent_bin=int(k_bin),
         coarse_bin=coarse_bin,
@@ -446,49 +463,28 @@ def _detection(pp, coarse_bin: int) -> ChannelDetection:
     )
 
 
-def _pruned_peaks(spectra, bank, shape) -> ChannelDetection:
+def _pruned_peaks(spectra, bank_spectra, shape) -> ChannelDetection:
     """_pick_peaks' detection of the segment map of `shape` (M, N, R) that
-    _map_rows would make from `spectra` and `bank`, inverse-transforming
-    whole only the rows that may hold its peak. `spectra` is overwritten.
+    _map_rows would make from _channel_spectra's X and bank spectra,
+    inverse-transforming whole only the rows that may hold its peak.
 
-    Each row k's window spectrum X_k is taken once, with a bound U_k on
-    every |C_l[k, r]| of the row: by the triangle inequality over the
-    inverse FFT, U_k = max_l (1/nfft) sum_f |X_k(f)| |B_l(f)|, with B_l the
-    conjugated bank spectra, times 1 + 1e-6. The computed sum is off by at
-    most about nfft eps (~1e-12) relative, and the computed correlation by
-    the same order, so the margin keeps U_k a bound on the computed cells.
-    Rows are transformed whole in descending U_k until one's U_k falls
-    strictly below the largest row maximum so far: every cell of each row
-    left is strictly below the segment-map peak. A row left gives its
-    pulse-map row from the l = 0 correlation alone (the median needs every
-    row). The values are the bits _map_rows makes, and the peak is
-    np.argmax's first occurrence over the whole map, so the detection is
-    _pick_peaks'.
+    By the triangle inequality over the inverse FFT, every |C_l[k, r]| of
+    row k is at most U_k = max_l (1/nfft) sum_f |X_k(f)| |B_l(f)|, with B_l
+    the conjugated bank spectra: one product |X| |B|^T for every row,
+    times 1 + 1e-6. The computed sum is off by at most about nfft eps
+    (~1e-12) relative in any order of summation, and the computed
+    correlation by the same order, so the margin keeps U_k a bound on the
+    computed cells. Rows are transformed whole in descending U_k until
+    one's U_k falls strictly below the largest row maximum so far: every
+    cell of each row left is strictly below the segment-map peak. A row
+    left gives its pulse-map row from the l = 0 correlation alone (the
+    median needs every row). The values are the bits _map_rows makes, and
+    the peak is np.argmax's first occurrence over the whole map, so the
+    detection is _pick_peaks'.
     """
-    num_rows, width = spectra.shape
-    num_ranges = shape[2]
-    bank_spectra = _replica_spectra(bank, width)
-    nfft = bank_spectra.shape[-1]
-    bank_magnitudes = np.abs(bank_spectra)
-    bounds = np.empty(num_rows)
-    # X_k is kept where nothing reads again, its first `width` bins over
-    # the row it was taken from and the rest in `tails`: no forward FFT is
-    # taken twice, and no window is held twice
-    line = np.empty(nfft, dtype=complex)
-    tails = np.empty((num_rows, nfft - width), dtype=complex)
-    for k, window in enumerate(spectra):
-        np.fft.fft(window, n=nfft, out=line)
-        bounds[k] = (bank_magnitudes @ np.abs(line)).max()
-        window[...] = line[:width]
-        tails[k] = line[width:]
-    bounds *= (1.0 + 1e-6) / nfft
-    del bank_magnitudes
-
-    def window_spectrum(k: int) -> np.ndarray:
-        line[:width] = spectra[k]
-        line[width:] = tails[k]
-        return line
-
+    num_rows, num_ranges = shape[0], shape[2]
+    bounds = (np.abs(spectra) @ np.abs(bank_spectra).T).max(axis=1)
+    bounds *= (1.0 + 1e-6) / spectra.shape[1]
     pp = np.empty((num_rows, num_ranges))
     product = np.empty_like(bank_spectra)
     row = np.empty(shape[1:])
@@ -499,13 +495,13 @@ def _pruned_peaks(spectra, bank, shape) -> ChannelDetection:
     for k in np.argsort(-bounds, kind="stable").tolist():
         if bounds[k] < row_peaks.max():
             break
-        np.abs(_correlate(window_spectrum(k), bank_spectra, product, num_ranges), out=row)
+        np.abs(_correlate(spectra[k], bank_spectra, product, num_ranges), out=row)
         pp[k] = row[0]
         flat = int(np.argmax(row))
         row_peaks[k] = row.flat[flat]
         row_coarse[k] = flat // num_ranges
     for k in np.flatnonzero(np.isneginf(row_peaks)).tolist():
-        zero_segment = _correlate(window_spectrum(k), bank_spectra[0], product[0], num_ranges)
+        zero_segment = _correlate(spectra[k], bank_spectra[0], product[0], num_ranges)
         np.abs(zero_segment, out=pp[k])
     return _detection(pp, int(row_coarse[int(np.argmax(row_peaks))]))
 
@@ -588,31 +584,35 @@ def _simulate_and_detect(
     """run_pipeline's report, and the lists `export(index, maps)` returned,
     joined in channel order ([] without `export`).
 
-    The channel set is checked first. Every channel's thread then makes
-    its receive windows (synth_echo), the filter bank and the pulse DFT in
-    place. Without `export`, _pruned_peaks bounds every cell of segment-map
-    row k by U_k = (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)| and
-    inverse-transforms whole only the rows that may hold the segment-map
-    peak (about one of M with a target in the scene, all M on noise alone);
-    the other rows give only their pulse-map row, so no map is held whole.
-    With `export`, _map_rows fills a whole segment map (the files need the
-    whole grid), _pick_peaks reads it, and the map goes to `export`. Both
-    give the same detections, bit for bit, and only the peaks are kept, so
-    no channel's maps outlive its thread.
+    The channel set, and a seed for any noise, are checked first. Every
+    channel's thread then takes one 2-D spectrum X of its receive windows
+    (synth_echo) and the filter bank's spectra (_channel_spectra), and both
+    routes read them. Without `export`, _pruned_peaks bounds every cell of
+    segment-map row k by U_k = (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)|
+    |B_l(f)| and inverse-transforms whole only the rows that may hold the
+    segment-map peak (about one of M with a target in the scene, all M on
+    noise alone); the other rows give only their pulse-map row, so no map
+    is held whole. With `export`, _map_rows fills a whole segment map (the
+    files need the whole grid), _pick_peaks reads it, and the map goes to
+    `export`. Both give the same detections, bit for bit, and only the
+    peaks are kept, so no channel's maps outlive its thread.
     """
     _check_channel_set(setup.channels, spacing_tolerance_hz)
+    if noise_sigma > 0 and seed is None:
+        raise ValueError("a seed is required when noise_sigma > 0")
 
     def channel_peaks(index: int) -> tuple[ChannelDetection, list]:
         channel = setup.channels[index]
         rng = RngStream(seed, stream_id=index) if seed is not None else None
-        rx = synth_echo(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
         segments = split_subpulses(make_lfm(setup), channel.num_subpulses)
-        rx, bank, shape = _filter_bank(rx, segments, channel)
-        # the windows are this thread's own, so their pulse DFT overwrites them
-        spectra = np.fft.fft(rx, axis=0, out=rx)
+        # no name holds the receive windows once X is taken from them
+        spectra, bank_spectra, shape = _channel_spectra(
+            synth_echo(setup, channel, truth, rng=rng, noise_sigma=noise_sigma), segments, channel
+        )
         if export is None:
-            return _pruned_peaks(spectra, bank, shape), []
-        sp = _map_rows(spectra, bank, out=np.empty(shape))
+            return _pruned_peaks(spectra, bank_spectra, shape), []
+        sp = _map_rows(spectra, bank_spectra, out=np.empty(shape))
+        del spectra, bank_spectra  # read no more, so not held while the map is written
         return _pick_peaks(sp), export(index, DopplerMap(channel=channel, sp=sp))
 
     results = _thread_map(channel_peaks, len(setup.channels))
@@ -634,11 +634,13 @@ def run_pipeline(
     Channel i draws from RngStream(seed, stream_id=i), so the channels run
     side by side on threads and the report does not depend on the schedule.
     Each thread picks its own channel's peaks without simulate_channel or
-    doppler_maps: it inverse-transforms whole only the segment-map rows
-    whose bound (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)| reaches
-    the largest row maximum found, and of the rest only the pulse-map row,
-    so no map is held whole, and the peaks are those detect_and_unfold
-    picks from the whole maps; only the peaks are kept.
+    doppler_maps: from one 2-D spectrum X of its receive windows it
+    inverse-transforms whole only the segment-map rows whose bound
+    (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)| reaches the largest
+    row maximum found, and of the rest only the pulse-map row, so no map
+    is held whole, and the peaks are those detect_and_unfold picks from
+    the whole maps; only the peaks are kept. A ValueError naming the seed
+    when noise_sigma > 0 and no seed is given, before any channel runs.
     """
     return _simulate_and_detect(setup, truth, seed, noise_sigma, spacing_tolerance_hz)[0]
 

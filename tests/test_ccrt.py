@@ -25,6 +25,8 @@ from subpulse import (
 
 MODULI = (11, 13, 17, 19)
 THETA = 11 * 13 * 17 * 19  # 46189
+# README's second coprime set: prfs 700 ... 1600 Hz, Theta = 240 240
+SECOND_MODULI = (7, 11, 13, 15, 16)
 
 
 def reference_channels(num_subpulses=8, moduli=MODULI):
@@ -380,20 +382,25 @@ class TestWhatEachModeAccepts:
         assert self.unfolded_bins(unfold, moduli, fmax_hz) == exact
         assert self.unfolded_bins(unfold_tolerant, moduli, fmax_hz) == loose
 
-    @pytest.mark.parametrize("subpulses, counts", [
-        (4, (1601, 12195)), (8, (3201, 21855)), (16, (6401, 36339)), (32, (12801, THETA)),
-    ])
-    def test_the_readme_table_by_set_arithmetic_and_a_seeded_sample(self, subpulses, counts):
-        # README's acceptance table at fmax = N/(2 tau), tau = 25 us;
-        # enumerating all 46 189 tuples takes seconds, so the small
-        # lattices above carry the full enumeration
+    @pytest.mark.parametrize("moduli, subpulses, counts", [
+        (MODULI, 4, (1601, 12195)), (MODULI, 8, (3201, 21855)),
+        (MODULI, 16, (6401, 36339)), (MODULI, 32, (12801, THETA)),
+        (SECOND_MODULI, 4, (1601, 17611)), (SECOND_MODULI, 8, (3201, 34089)),
+        (SECOND_MODULI, 16, (6401, 62889)), (SECOND_MODULI, 32, (12801, 108327)),
+    ], ids=[f"{name}-N{n}" for name in ("readme", "second") for n in (4, 8, 16, 32)])
+    def test_the_readme_table_by_set_arithmetic_and_a_seeded_sample(
+        self, moduli, subpulses, counts
+    ):
+        # README's acceptance tables at fmax = N/(2 tau), tau = 25 us;
+        # enumerating all 46 189 (or 240 240) tuples takes seconds, so the
+        # small lattices above carry the full enumeration
         fmax_hz = subpulses / (2.0 * 25e-6)
-        exact = accepted_bins(MODULI, fmax_hz, corrections=False)
-        loose = accepted_bins(MODULI, fmax_hz, corrections=True)
+        exact = accepted_bins(moduli, fmax_hz, corrections=False)
+        loose = accepted_bins(moduli, fmax_hz, corrections=True)
         assert (len(exact), len(loose)) == counts
-        chans = reference_channels(subpulses)
-        for b in np.random.default_rng(subpulses).integers(0, THETA, 150).tolist():
-            residues = [b % m for m in MODULI]
+        chans = reference_channels(subpulses, moduli)
+        for b in np.random.default_rng(subpulses).integers(0, math.prod(moduli), 150).tolist():
+            residues = [b % m for m in moduli]
             for unfolder, accepted in ((unfold, exact), (unfold_tolerant, loose)):
                 try:
                     unfolder(residues, chans, coarse_hz=0.0, fmax_hz=fmax_hz)

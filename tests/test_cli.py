@@ -477,6 +477,26 @@ class TestSimulateMode:
         assert sidecar["dtype"] == "<f4"
         assert sidecar["axes"] == ["pulse_doppler", "range"]
 
+    def test_an_empty_noiseless_scene_is_not_a_detection(self, tmp_path, capsys):
+        config = radar_config(
+            tmp_path, "empty.csv",
+            target={"range_m": 10000.0, "velocity_mps": -900.0, "amplitude": 0.0},
+        )
+        assert main(["simulate", config]) == 1
+        assert "fused detection did not succeed" in capsys.readouterr().err
+        _, rows = read_csv(tmp_path / "empty.csv")
+        assert [(row["peak_ratio"], row["detected"]) for row in rows] == [("0", "0")] * 4
+
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"noise_sigma": 0.05}, []), ({}, ["--noise-sigma", "0.05"]),
+    ], ids=["config", "flag"])
+    def test_noise_without_a_seed_is_refused_at_load(self, tmp_path, capsys, overrides, flags):
+        config = radar_config(tmp_path, "unseeded.csv", **overrides)
+        assert main(["simulate", config, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: an explicit seed is required") and "'seed'" in err
+        assert not (tmp_path / "unseeded.csv").exists()
+
     def test_noisy_run_is_reproducible_from_the_seed(self, tmp_path):
         config = radar_config(tmp_path, "noisy.csv", seed=5, noise_sigma=0.3)
         assert main(["simulate", config]) == 0

@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import subpulse
@@ -20,6 +21,22 @@ def test_every_all_entry_resolves():
         # a stale entry would make `from module import *` raise AttributeError
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{module.__name__}.__all__ names undefined {missing}"
+
+
+def test_every_package_name_is_exported_by_its_module():
+    # a name the package re-exports is public in the module that defines it
+    exported = {
+        name
+        for info in pkgutil.iter_modules(subpulse.__path__)
+        for name in importlib.import_module(f"subpulse.{info.name}").__all__
+    }
+    names = [
+        name for name in subpulse.__all__
+        if not isinstance(getattr(subpulse, name), types.ModuleType)
+    ]
+    assert len(names) > 1
+    stray = [name for name in names if name not in exported]
+    assert stray == [], f"subpulse.__all__ names {stray}, in no module's __all__"
 
 
 # scipy subpackages the package does not need at import; signal and stats

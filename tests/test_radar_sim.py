@@ -435,6 +435,22 @@ class TestDetection:
         assert report.fused is None
         assert math.isnan(report.velocity_mps)
 
+    def test_an_empty_noiseless_scene_detects_nothing(self, setup):
+        # every map is zero throughout: no peak, so no ratio to a floor
+        silent = TargetTruth(range_m=10e3, radial_velocity_mps=-900.0, amplitude=0.0)
+        report = run_pipeline(setup, silent)
+        assert [c.peak_ratio for c in report.channels] == [0.0] * len(setup.channels)
+        assert not any(c.detected for c in report.channels)
+        assert not report.detected and math.isnan(report.velocity_mps)
+
+    def test_noise_without_a_seed_is_refused_before_any_channel_runs(self, setup, monkeypatch):
+        def synth(*args, **kwargs):
+            raise AssertionError("a channel was simulated")
+
+        monkeypatch.setattr(radar_sim, "synth_echo", synth)
+        with pytest.raises(ValueError, match="seed"):
+            run_pipeline(setup, TargetTruth(10e3, -900.0), seed=None, noise_sigma=0.05)
+
     def test_coincidence_mode_unfolds_a_target_on_the_nyquist_vote(self):
         # below -3.4 km/s every channel's segment-axis peak is the Nyquist
         # bin, read as +fmax; scored against +fmax alone the unfold lands
@@ -520,7 +536,10 @@ class TestDetection:
         k_bin, r_bin = np.unravel_index(int(np.argmax(pp)), pp.shape)
         median = float(np.median(pp))
         peak = float(pp[k_bin, r_bin])
-        ratio = peak / median if median > peak * np.finfo(float).eps else math.inf
+        if median > peak * np.finfo(float).eps:
+            ratio = peak / median
+        else:
+            ratio = math.inf if peak > 0 else 0.0
         _, l_bin, _ = np.unravel_index(int(np.argmax(sp)), sp.shape)
         return radar_sim.ChannelDetection(
             apparent_bin=int(k_bin),
@@ -543,7 +562,7 @@ class TestDetection:
         want = self.whole_map_peaks(sp)
         assert radar_sim._pick_peaks(sp) == want
         if not sp.any():
-            assert math.isinf(want.peak_ratio)
+            assert want.peak_ratio == 0.0
 
     def test_empty_map_list_rejected(self, setup):
         with pytest.raises(ValueError):
@@ -637,13 +656,14 @@ class TestDetection:
 
 
 def channel_spectra(setup, channel, truth, seed, noise_sigma):
-    """The receive windows of one channel, their filter bank and map shape,
-    and the pulse DFT of the windows, as a plain run's channel makes them."""
+    """The receive windows and segments of one channel, and the conjugated
+    bank spectra, map shape and 2-D spectrum X that a plain run's channel
+    takes from them."""
     rng = RngStream(seed, stream_id=setup.channels.index(channel))
     rx = synth_echo(setup, channel, truth, rng=rng, noise_sigma=noise_sigma)
     segments = split_subpulses(make_lfm(setup), channel.num_subpulses)
-    rx, bank, shape = radar_sim._filter_bank(rx, segments, channel)
-    return rx, segments, bank, shape, np.fft.fft(rx, axis=0)
+    spectra, bank_spectra, shape = radar_sim._channel_spectra(rx, segments, channel)
+    return rx, segments, bank_spectra, shape, spectra
 
 
 class TestPrunedPeaks:
