@@ -13,63 +13,12 @@ CLI that drives sweeps and emits deterministic CSV artifacts (`cli_io`).
 
 __version__ = "0.1.0"
 
-from .numerics import (
-    ConvergenceError,
-    RngStream,
-    bessel_i0_log,
-    integrate_semi_infinite,
-    matched_filter,
-)
-from .ccrt import (
-    NotInvertibleError,
-    OutOfWindowError,
-    PrfChannel,
-    UnfoldResult,
-    ccrt_solve,
-    common_bin_spacing,
-    doppler_to_velocity,
-    modular_inverse,
-    unfold,
-    unfold_tolerant,
-    velocity_to_doppler,
-)
-from .detection_stats import (
-    SNR_SCALE_DEFAULT,
-    ChannelStats,
-    FusionRule,
-    NumericalDomainError,
-    combine_m_of_l,
-    from_snr,
-    pd_closed_form,
-    pd_oracle,
-    pfa_closed_form,
-    pfa_oracle,
-)
-from .montecarlo import (
-    McConfig,
-    McEstimate,
-    estimate,
-)
-from .radar_sim import (
-    DETECTION_THRESHOLD,
-    SPEED_OF_LIGHT,
-    ChannelDetection,
-    Datacube,
-    DetectionReport,
-    DopplerMap,
-    RadarSetup,
-    TargetTruth,
-    build_datacube,
-    compress_sp,
-    detect_and_unfold,
-    doppler_maps,
-    export_maps,
-    make_lfm,
-    run_pipeline,
-    simulate_channel,
-    split_subpulses,
-    synth_echo,
-)
-from .cli_io import ConfigError, ExperimentConfig, RunResult, load_config, main, run
+# each module's __all__ is the one statement of its public names
+from .numerics import *
+from .ccrt import *
+from .detection_stats import *
+from .montecarlo import *
+from .radar_sim import *
+from .cli_io import *
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,6 +27,7 @@ import scipy
 
 from .ccrt import NotInvertibleError, PrfChannel, _check_moduli, _check_spacings, ccrt_solve
 from .detection_stats import (
+    _ORACLE_TOL,
     SNR_SCALE_DEFAULT,
     FusionRule,
     combine_m_of_l,
@@ -92,9 +93,11 @@ _SWEEP_MODES = frozenset({"pd_sweep", "pfa_sweep", "fused_sweep", "mc_validate"}
 # modes that read an `mc` section and the Monte Carlo flags
 _MC_MODES = frozenset({"pd_sweep", "pfa_sweep", "mc_validate"})
 
-_ORACLE_TOL = 1e-6  # closed form vs quadrature, absolute
 _MC_Z_LIMIT = 5.0
 _CCRT_BLOCK = 1 << 14  # lattice bins per array solve in ccrt_check
+# ccrt_check's lattice size, checked at load: 65 007 744 bins took 6.8 s on a
+# 2-core host, so this is about 7 s
+_MAX_CCRT_BINS = 1 << 26
 _MAX_SNR_POINTS = 10_000  # a sweep grid's size, checked at load
 
 
@@ -287,6 +290,14 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
     channels = _parse_channels(left, effective)
     parsed = {}
 
+    if effective == "ccrt_check":
+        theta = math.prod(pulses for pulses, _ in channels)
+        if theta > _MAX_CCRT_BINS:
+            raise ConfigError(
+                f"field 'channels[].pulses': ccrt-check walks their product, {theta} bins, "
+                f"more than {_MAX_CCRT_BINS}"
+            )
+
     if effective in _SWEEP_MODES:
         for name in ("lambda1", "lambda2", "snr_scale"):
             parsed[name] = _need(left, name, float, default=_DEFAULTS[name])
@@ -378,8 +389,9 @@ def _config_from_dict(raw: dict, *, mode: Optional[str] = None) -> ExperimentCon
 def load_config(path, *, mode: Optional[str] = None) -> ExperimentConfig:
     """Parse and validate a JSON experiment config, so that later stages can
     assume a coherent setup. The loader checks JSON types, finiteness, the SNR
-    grid's shape and size, the channel counts, the prf count, the seed's
-    presence where Monte Carlo runs or noise is simulated, `noise_sigma`,
+    grid's shape and size, the channel counts, ccrt-check's lattice size, the
+    prf count, the seed's presence where Monte Carlo runs or noise is
+    simulated, `noise_sigma`,
     `output_path` and the keys a mode reads;
     other value ranges come from the library objects the run uses, built
     here. Range refusals read "field '<dotted path>': <message>".

@@ -16,10 +16,13 @@ maps, and raises a false alarm when it loses in both. This module provides
     and
   * M-of-L fusion of per-channel probabilities.
 
-The probabilities depend on the noise only through scale ratios, and on the
+The probabilities depend on the noise only through power ratios, and on the
 shared component's mean only through its power m, so the model measures
-every envelope in units of its map's noise scale and places the mean on the
-real axis: lambda1, lambda2, m, M and N are all it reads.
+every power in units of the target cell's noise and places the mean on the
+real axis: lambda1, lambda2, m, M and N are all it reads. The target pair
+has unit complex variance around its mean, 1/2 per component; each
+competitor cell's power has CDF 1 - exp(-p/2), a mean power of 2, 1 per
+component. So a competitor cell carries twice the target cell's noise power.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ __all__ = [
 # Default per-pulse SNR-to-mean-power calibration; see from_snr.
 SNR_SCALE_DEFAULT = 0.32
 
-# largest certified rounding error of a closed-form sum (the CLI's oracle gate)
-_ROUNDING_LIMIT = 1e-6
+# closed form vs quadrature oracle, absolute: the CLI's gate, and the largest
+# certified rounding error of a closed-form sum, so rounding alone never fails it
+_ORACLE_TOL = 1e-6
 _EPS = np.finfo(float).eps
 
 
@@ -65,7 +69,10 @@ class ChannelStats:
     lambda1/lambda2 set the fraction of each target envelope drawn from the
     shared scatterer (strictly inside (0, 1)), m_re the real mean amplitude
     of that shared component, whose square is the mean power m, and M/N the
-    pulse and subpulse bin counts. Both maps' noise has unit scale.
+    pulse and subpulse bin counts. In both maps the target cell's noise has
+    unit complex variance (1/2 per component) and each competitor cell's
+    power has CDF 1 - exp(-p/2), mean 2 (1 per component): a competitor
+    carries twice the target cell's noise power.
     """
 
     lambda1: float
@@ -215,9 +222,9 @@ def _kernel_terms(stats: ChannelStats, kernel):
 def _certified_sum(stats: ChannelStats, terms, weights, what: str) -> float:
     """fsum of the terms, refused when its rounding bound exceeds the limit."""
     bound = _EPS * float(weights.sum())
-    if bound > _ROUNDING_LIMIT:
+    if bound > _ORACLE_TOL:
         raise NumericalDomainError(
-            f"{what} rounding bound {bound:.3e} exceeds {_ROUNDING_LIMIT:g} at "
+            f"{what} rounding bound {bound:.3e} exceeds {_ORACLE_TOL:g} at "
             f"M={stats.M}, N={stats.N}, m={stats.m!r}, lambda1={stats.lambda1!r}, "
             f"lambda2={stats.lambda2!r}; float64 cannot resolve the alternating sum here"
         )
@@ -282,11 +289,12 @@ def _conditional_win(count: int, lam: float):
     """Pr(target envelope beats all `count` Rayleigh competitors | shared power t).
 
     Conditionally the envelope is Rician with noncentrality lam*sqrt(t) and
-    per-component variance (1 - lam^2)/2; competitors have unit per-component
-    variance. Binomial expansion plus the Rician square-law MGF give a short
-    exponential mixture sum_k amp_k exp(-rate_k t), returned as the arrays
-    (amp, rate): amp_k = (-1)^k C(count, k)/q_k and rate_k = k lam^2/(2 q_k),
-    with q_k = 1 + k (1 - lam^2)/2.
+    per-component variance (1 - lam^2)/2. A competitor's power has CDF
+    1 - exp(-p/2), mean 2 (unit per-component variance), twice the target
+    cell's unit noise power. Binomial expansion plus the Rician square-law
+    MGF give a short exponential mixture sum_k amp_k exp(-rate_k t),
+    returned as the arrays (amp, rate): amp_k = (-1)^k C(count, k)/q_k and
+    rate_k = k lam^2/(2 q_k), with q_k = 1 + k (1 - lam^2)/2.
     """
     k = np.arange(count + 1, dtype=float)
     q = 1.0 + k * ((1.0 - lam ** 2) / 2.0)

@@ -2,10 +2,12 @@
 
 The empirical referee the closed forms in detection_stats are accepted
 against. Each trial draws the correlated target envelopes r1, r2 and takes
-the conditional expectation over their unit-scale Rayleigh competitors
-(conditional Monte Carlo: Asmussen & Glynn, *Stochastic Simulation*,
-Springer 2007, ch. V). With F(r) = 1 - exp(-r^2 / 2) the competitor CDF in
-both maps, the trial contributes
+the conditional expectation over their Rayleigh competitors (conditional
+Monte Carlo: Asmussen & Glynn, *Stochastic Simulation*, Springer 2007,
+ch. V). The target pair has unit complex variance, 1/2 per component; a
+competitor has unit variance per component, so its power r^2 has CDF
+F(r) = 1 - exp(-r^2 / 2), mean 2: twice the target cell's noise power. With
+F the competitor CDF in both maps, the trial contributes
 
     Pr(win both)  = F1(r1)^(M-1) * F2(r2)^(N-1)
     Pr(lose both) = (1 - F1(r1)^(M-1)) * (1 - F2(r2)^(N-1))
@@ -98,11 +100,13 @@ def _target_pair(rng: RngStream, stats: ChannelStats, n: int) -> np.ndarray:
 
 
 def _win_lose(p: np.ndarray, k: int):
-    """Pr(a target of power p = r^2 beats all k unit-scale Rayleigh
-    competitors) and Pr(one beats it); p's buffer is overwritten.
+    """Pr(a target of power p = r^2 beats all k Rayleigh competitors) and
+    Pr(one beats it); p's buffer is overwritten.
 
-    F = -expm1(-p / 2); F^k is taken as exp(k log F), and 1 - F^k as
-    -expm1(k log F); k = 0 is exactly (1, 0), never 0 * log 0.
+    A competitor's power has CDF F = 1 - exp(-p / 2), mean 2 (variance 1 per
+    component), twice the target pair's unit noise power. F = -expm1(-p / 2);
+    F^k is taken as exp(k log F), and 1 - F^k as -expm1(k log F); k = 0 is
+    exactly (1, 0), never 0 * log 0.
     """
     if k == 0:
         return np.ones_like(p), np.zeros_like(p)

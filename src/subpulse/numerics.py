@@ -358,7 +358,8 @@ def _correlate(window_spectrum, replica_spectra, out, out_len: int) -> np.ndarra
     spectrum and the conjugated replica spectra: a view of its first
     `out_len` lags into `out`, a buffer of the spectra's shape that holds
     the inverse FFT. A window or a replica row gives the same bits alone as
-    in a stack."""
+    in a stack, except at one bin, where numpy multiplies a (1,) product
+    and a (1, 1) one with other bits."""
     np.multiply(window_spectrum, replica_spectra, out=out)
     return np.fft.ifft(out, out=out)[..., :out_len]
 

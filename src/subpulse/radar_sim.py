@@ -23,14 +23,16 @@ of a channel's segment map are read: its pulse map (for the peak and the
 median) and the subpulse-Doppler bin of its peak (the coarse vote). A run
 that exports nothing therefore bounds the cells of row k by the triangle
 inequality over the inverse FFT, U_k = (1 + 1e-6) max_l (1/nfft) sum_f
-|X_k(f)| |B_l(f)|, and inverse-transforms whole only the rows, in
-descending U_k, until one's bound falls strictly below the largest row
-maximum so far; with a target in the scene that is about one of M rows,
-and every row left gives its pulse-map row from the zero-segment
-correlation alone. The margin is sound because the computed sum is off by
-at most about nfft eps (~1e-12) relative, and the FFT correlation by the
-same order. The cells computed are the bits a whole map holds and every
-skipped cell is strictly below the peak, so the peaks are the whole map's.
+|X_k(f)| |B_l(f)| plus the smallest normal double, and inverse-transforms
+whole only the rows, in descending U_k, until one's bound falls strictly
+below the largest row maximum so far; with a target in the scene that is
+about one of M rows, and every row left gives its pulse-map row from the
+zero-segment correlation alone. The margin is sound because the computed
+sum is off by at most about nfft eps (~1e-12) relative, and the FFT
+correlation by the same order; the added double covers what falls below
+the normal range, where errors are absolute. The cells computed are the
+bits a whole map holds and every skipped cell is strictly below the peak,
+so the peaks are the whole map's.
 A run that exports maps makes every row into a whole map from the same X,
 picks its peaks from it and writes it. Only the peaks come back to be
 fused, so no channel's maps outlive its thread.
@@ -76,7 +78,6 @@ __all__ = [
     "DETECTION_THRESHOLD",
     "RadarSetup",
     "TargetTruth",
-    "Datacube",
     "DopplerMap",
     "ChannelDetection",
     "DetectionReport",
@@ -168,27 +169,6 @@ class TargetTruth:
         _finite(self.range_m, "range_m", "positive")
         _finite(self.radial_velocity_mps, "radial_velocity_mps")
         _finite(self.amplitude, "amplitude", "non-negative")
-
-
-@dataclass(frozen=True)
-class Datacube:
-    """Compressed samples of one channel, indexed [range, pulse, subpulse]."""
-
-    channel: PrfChannel
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        object.__setattr__(self, "data", data)
-        if data.ndim != 3:
-            raise ValueError(f"datacube must be 3-D, got shape {data.shape}")
-        if data.shape[1] != self.channel.num_pulses or data.shape[2] != self.channel.num_subpulses:
-            raise ValueError(
-                f"datacube shape {data.shape} does not match channel "
-                f"({self.channel.num_pulses} pulses, {self.channel.num_subpulses} subpulses)"
-            )
-        if not np.isfinite(data).all():
-            raise ValueError("datacube entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -333,16 +313,23 @@ def compress_sp(rx_per_pulse, subpulse_replicas) -> np.ndarray:
     return matched_filter(rx_per_pulse, kernels)
 
 
-def build_datacube(profiles, channel: PrfChannel) -> Datacube:
-    """Arrange compress_sp output (pulses, segments, range) as a Datacube.
-
-    The cube's [range, pulse, subpulse] array is a transposed view of the
-    profiles, not a copy; its shape is the same either way.
+def build_datacube(profiles, channel: PrfChannel) -> np.ndarray:
+    """compress_sp output (pulses, segments, range) of `channel` as its
+    [range, pulse, subpulse] cube, a transposed view of complex128 profiles,
+    not a copy. A ValueError when the profiles are not 3-D, do not match the
+    channel's counts or hold a non-finite entry.
     """
     arr = np.asarray(profiles, dtype=np.complex128)
     if arr.ndim != 3:
         raise ValueError(f"expected (pulses, segments, range) profiles, got shape {arr.shape}")
-    return Datacube(channel=channel, data=arr.transpose(2, 0, 1))
+    if arr.shape[:2] != (channel.num_pulses, channel.num_subpulses):
+        raise ValueError(
+            f"profiles of shape {arr.shape} do not match channel "
+            f"({channel.num_pulses} pulses, {channel.num_subpulses} subpulses)"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError("profile entries must be finite")
+    return arr.transpose(2, 0, 1)
 
 
 def _channel_spectra(rx_per_pulse, subpulse_replicas, channel: PrfChannel):
@@ -471,12 +458,14 @@ def _pruned_peaks(spectra, bank_spectra, shape) -> ChannelDetection:
     By the triangle inequality over the inverse FFT, every |C_l[k, r]| of
     row k is at most U_k = max_l (1/nfft) sum_f |X_k(f)| |B_l(f)|, with B_l
     the conjugated bank spectra: one product |X| |B|^T for every row,
-    times 1 + 1e-6. The computed sum is off by at most about nfft eps
-    (~1e-12) relative in any order of summation, and the computed
-    correlation by the same order, so the margin keeps U_k a bound on the
-    computed cells. Rows are transformed whole in descending U_k until
-    one's U_k falls strictly below the largest row maximum so far: every
-    cell of each row left is strictly below the segment-map peak. A row
+    times 1 + 1e-6, plus the smallest normal double. The computed sum is off
+    by at most about nfft eps (~1e-12) relative in any order of summation,
+    and the computed correlation by the same order, so the margin keeps U_k
+    a bound on the computed cells; the added double covers the absolute
+    error of the products and sums that fall below the normal range, where
+    no relative bound holds. Rows are transformed whole in descending U_k
+    until one's U_k falls strictly below the largest row maximum so far:
+    every cell of each row left is strictly below the segment-map peak. A row
     left gives its pulse-map row from the l = 0 correlation alone (the
     median needs every row). The values are the bits _map_rows makes, and
     the peak is np.argmax's first occurrence over the whole map, so the
@@ -485,6 +474,7 @@ def _pruned_peaks(spectra, bank_spectra, shape) -> ChannelDetection:
     num_rows, num_ranges = shape[0], shape[2]
     bounds = (np.abs(spectra) @ np.abs(bank_spectra).T).max(axis=1)
     bounds *= (1.0 + 1e-6) / spectra.shape[1]
+    bounds += np.finfo(float).tiny
     pp = np.empty((num_rows, num_ranges))
     product = np.empty_like(bank_spectra)
     row = np.empty(shape[1:])
@@ -500,9 +490,12 @@ def _pruned_peaks(spectra, bank_spectra, shape) -> ChannelDetection:
         flat = int(np.argmax(row))
         row_peaks[k] = row.flat[flat]
         row_coarse[k] = flat // num_ranges
+    # numpy multiplies a lone element with other bits in a (1, 1) product
+    # than in a (1,) one, so a one-segment bank is read as _map_rows reads it
+    zero = slice(0, 1) if shape[1] == 1 else 0
     for k in np.flatnonzero(np.isneginf(row_peaks)).tolist():
-        zero_segment = _correlate(spectra[k], bank_spectra[0], product[0], num_ranges)
-        np.abs(zero_segment, out=pp[k])
+        zero_segment = _correlate(spectra[k], bank_spectra[zero], product[zero], num_ranges)
+        np.abs(zero_segment, out=pp[k : k + 1])
     return _detection(pp, int(row_coarse[int(np.argmax(row_peaks))]))
 
 
@@ -588,11 +581,10 @@ def _simulate_and_detect(
     channel's thread then takes one 2-D spectrum X of its receive windows
     (synth_echo) and the filter bank's spectra (_channel_spectra), and both
     routes read them. Without `export`, _pruned_peaks bounds every cell of
-    segment-map row k by U_k = (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)|
-    |B_l(f)| and inverse-transforms whole only the rows that may hold the
-    segment-map peak (about one of M with a target in the scene, all M on
-    noise alone); the other rows give only their pulse-map row, so no map
-    is held whole. With `export`, _map_rows fills a whole segment map (the
+    each segment-map row and inverse-transforms whole only the rows that
+    may hold the segment-map peak (about one of M with a target in the
+    scene, all M on noise alone); the other rows give only their pulse-map
+    row, so no map is held whole. With `export`, _map_rows fills a whole segment map (the
     files need the whole grid), _pick_peaks reads it, and the map goes to
     `export`. Both give the same detections, bit for bit, and only the
     peaks are kept, so no channel's maps outlive its thread.
@@ -635,12 +627,12 @@ def run_pipeline(
     side by side on threads and the report does not depend on the schedule.
     Each thread picks its own channel's peaks without simulate_channel or
     doppler_maps: from one 2-D spectrum X of its receive windows it
-    inverse-transforms whole only the segment-map rows whose bound
-    (1 + 1e-6) max_l (1/nfft) sum_f |X_k(f)| |B_l(f)| reaches the largest
-    row maximum found, and of the rest only the pulse-map row, so no map
-    is held whole, and the peaks are those detect_and_unfold picks from
-    the whole maps; only the peaks are kept. A ValueError naming the seed
-    when noise_sigma > 0 and no seed is given, before any channel runs.
+    inverse-transforms whole only the segment-map rows whose bound on their
+    cells reaches the largest row maximum found, and of the rest only the
+    pulse-map row, so no map is held whole, and the peaks are those
+    detect_and_unfold picks from the whole maps; only the peaks are kept.
+    A ValueError naming the seed when noise_sigma > 0 and no seed is given,
+    before any channel runs.
     """
     return _simulate_and_detect(setup, truth, seed, noise_sigma, spacing_tolerance_hz)[0]
 

@@ -456,6 +456,34 @@ class TestCongruenceMode:
         assert int(row["passed"]) == theta
         assert int(row["all_pass"]) == 1
 
+    # about 9.5e11 bins, some 33 hours of walking at 8e6 bins a second
+    HUGE_MODULI = (977, 983, 991, 997)
+
+    def test_a_lattice_past_the_bin_budget_is_refused_at_load(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        moduli = self.HUGE_MODULI
+        monkeypatch.setattr(cli_io, "ccrt_solve", None)  # a walk would raise
+        config = write_config(tmp_path, "huge.json", {
+            "channels": [{"pulses": m} for m in moduli],
+            "output_path": str(tmp_path / "huge.csv"),
+        })
+        assert main(["ccrt-check", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'channels[].pulses'")
+        assert f"{math.prod(moduli)} bins" in err
+        assert not (tmp_path / "huge.csv").exists()
+
+    def test_the_bin_budget_is_inclusive_and_binds_only_ccrt_check(self):
+        budget = cli_io._MAX_CCRT_BINS
+        load = cli_io._config_from_dict
+        assert load({"mode": "ccrt_check", "channels": [{"pulses": budget}]}).channels
+        with pytest.raises(cli_io.ConfigError, match=f"{budget + 1} bins"):
+            load({"mode": "ccrt_check", "channels": [{"pulses": budget + 1}]})
+        huge = [{"pulses": m} for m in self.HUGE_MODULI]
+        sweep = {"channels": huge, "snr_db": {"start": 0.0, "stop": 0.0}}
+        assert len(load(sweep, mode="pfa_sweep").channels) == len(huge)
+
 
 class TestSimulateMode:
     def test_noiseless_run_recovers_the_target(self, tmp_path):

@@ -158,6 +158,30 @@ class TestClosedForms:
         assert pd_closed_form(s) == pytest.approx(0.43344678819589993, abs=1e-13)
         assert pfa_closed_form(s) == pytest.approx(0.010882684714138627, abs=1e-13)
 
+    # gaps 1.1e-7, 2.8e-8, 4.7e-8 and 4.1e-9, from lambda's distance to 1
+    @pytest.mark.parametrize("pulses, subpulses, m_re", [
+        (11, 8, 2.0), (7, 8, 1.0), (13, 16, 1.5), (17, 8, 0.5),
+    ])
+    def test_full_loadings_give_one_shared_cell_with_competitors_of_power_two(
+        self, pulses, subpulses, m_re
+    ):
+        # with both loadings at 1 the two target envelopes are one cell of
+        # unit noise power, against K = M + N - 2 competitors whose power has
+        # CDF 1 - exp(-p/2), mean 2; its win probability is
+        # sum_k (-1)^k C(K, k) 2/(2 + k) exp(-m k/(2 + k)). Competitors of the
+        # target's power instead, CDF 1 - exp(-p), give 0.65627 at
+        # (11, 8, m 4), where this form gives 0.29317; the simulator's shared
+        # cell, whose cells all hold one noise power, wins 0.6587 +- 0.0087
+        # there (ROADMAP item 21)
+        lam = 1.0 - 1e-7
+        competitors, m = pulses + subpulses - 2, m_re * m_re
+        shared_cell = math.fsum(
+            (-1) ** k * math.comb(competitors, k) * 2.0 / (2.0 + k) * math.exp(-m * k / (2.0 + k))
+            for k in range(competitors + 1)
+        )
+        got = pd_closed_form(ChannelStats(lam, lam, m_re, pulses, subpulses))
+        assert got == pytest.approx(shared_cell, abs=1e-6)
+
 
 class TestOracles:
     def test_single_bin_layout(self):

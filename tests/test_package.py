@@ -39,6 +39,17 @@ def test_every_package_name_is_exported_by_its_module():
     assert stray == [], f"subpulse.__all__ names {stray}, in no module's __all__"
 
 
+def test_package_exports_every_module_name_as_the_same_object():
+    # the modules' __all__ is the package surface, with nothing left out
+    for info in pkgutil.iter_modules(subpulse.__path__):
+        module = importlib.import_module(f"subpulse.{info.name}")
+        absent = [
+            name for name in module.__all__
+            if name not in subpulse.__all__ or getattr(subpulse, name) is not getattr(module, name)
+        ]
+        assert absent == [], f"subpulse does not export {module.__name__}'s {absent}"
+
+
 # scipy subpackages the package does not need at import; signal and stats
 # cost about 0.5 s of import time, scipy.integrate another 0.24 s and 25 MB
 # with the linalg, optimize, sparse and spatial it loads, and scipy.fft about

@@ -382,8 +382,19 @@ class TestMaps:
             doppler_maps(rx, segments, channel)
 
     def test_datacube_shape_validation(self, setup):
-        with pytest.raises(ValueError):
-            build_datacube(np.zeros((3, 4)), setup.channels[0])
+        channel = setup.channels[0]
+        profiles = np.zeros((channel.num_pulses, channel.num_subpulses, 5), complex)
+        with pytest.raises(ValueError, match="expected"):
+            build_datacube(profiles[0], channel)
+        with pytest.raises(ValueError, match="do not match channel"):
+            build_datacube(profiles[1:], channel)
+        profiles[0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            build_datacube(profiles, channel)
+        profiles[0, 0, 0] = 0
+        cube = build_datacube(profiles, channel)
+        assert cube.shape == (5, channel.num_pulses, channel.num_subpulses)
+        assert np.shares_memory(cube, profiles)
 
 
 class TestTargetTruth:
@@ -666,9 +677,53 @@ def channel_spectra(setup, channel, truth, seed, noise_sigma):
     return rx, segments, bank_spectra, shape, spectra
 
 
+SPECTRUM_VALUES = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pruned_search_inputs(draw):
+    """An X and bank spectra of up to 8 rows, 4 segments and 256 bins, with
+    rows copied from others (exact ties), rows or all of X zero, and X and
+    the bank on supports that overlap a little or not at all; and a map
+    shape whose range count fits the spectra."""
+    rows, segments = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    nfft = draw(st.integers(1, 256))
+    spectra = draw(hnp.arrays(np.complex128, (rows, nfft), elements=SPECTRUM_VALUES))
+    bank = draw(hnp.arrays(np.complex128, (segments, nfft), elements=SPECTRUM_VALUES))
+    for k in range(rows):
+        if draw(st.booleans()):
+            spectra[k] = spectra[draw(st.integers(0, rows - 1))]
+    zero = draw(st.lists(st.booleans(), min_size=rows, max_size=rows) | st.just([True] * rows))
+    spectra[np.array(zero)] = 0
+    support = draw(st.none() | hnp.arrays(np.bool_, nfft))
+    if support is not None:
+        spectra[:, ~support] = 0
+        bank[:, support & ~draw(hnp.arrays(np.bool_, nfft))] = 0
+    return spectra, bank, (rows, segments, draw(st.integers(1, nfft)))
+
+
 class TestPrunedPeaks:
     """A plain run transforms whole only the segment-map rows that may hold
     the peak; its detections must be the whole-map pick's, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pruned_search_inputs())
+    # one bin and one segment: numpy multiplies a lone element of a (1, 1)
+    # product with other bits than of a (1,) one
+    @example((np.array([[3.263 + 0.011j], [4.0 + 0.0j]]), np.array([[1.5 + 445.0j]]), (2, 1, 1)))
+    # products below the normal range, where no relative margin holds
+    @example((
+        np.array([[2 - 4j, -1 + 0j], [-3 - 3j, 4 + 3j]]) * 1e-162,
+        np.array([[-4 - 1j, -1 - 1j], [-1 - 3j, 1 - 2j]]) * 1e-162,
+        (2, 2, 2),
+    ))
+    @example((np.zeros((3, 16), complex), np.ones((2, 16), complex), (3, 2, 9)))
+    def test_drawn_spectra(self, inputs):
+        spectra, bank, shape = inputs
+        want = radar_sim._pick_peaks(radar_sim._map_rows(spectra, bank, np.empty(shape)))
+        got = radar_sim._pruned_peaks(spectra, bank, shape)
+        assert got == want
+        assert got.peak_ratio.hex() == want.peak_ratio.hex()
 
     @staticmethod
     def assert_pruned_pick_is_the_whole_map_pick(setup, truth, seed, noise_sigma):
